@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import nilpath
 from nilpath.cli import run
+from nilpath.walks import count_walks_exact
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +23,25 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def int_digit_limit():
+    """The interpreter's int-to-text digit limit, or None where it has none."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return None if get_limit is None else get_limit()
+
+
+@contextmanager
+def no_int_digit_limit():
+    limit = int_digit_limit()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestExitCodes:
@@ -90,6 +116,29 @@ class TestWalkCount:
             "--exact", "--parity",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_count_beyond_int_digit_limit_renders_in_full(self, capsys, fmt):
+        # 2^14999 walks: 4516 digits, past the 4300-digit default limit
+        limit = int_digit_limit()
+        code, out, _ = run_cli(
+            capsys,
+            "walk-count", "--n", "3", "--x", "1", "--y", "1", "--k", "30000",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert int_digit_limit() == limit
+        expected = count_walks_exact(3, 1, 1, 30000)
+        with no_int_digit_limit():
+            digits = str(expected)
+            assert len(digits) > 4300
+            if fmt == "json":
+                assert json.loads(out)["details"][0]["observed"] == expected
+            elif fmt == "csv":
+                row = list(csv.reader(io.StringIO(out)))[1]
+                assert row[1] == row[2] == digits
+            else:
+                assert out.count(digits) == 2
 
 
 class TestVerifyLemma:
@@ -262,6 +311,30 @@ class TestOutputFormats:
         )
         assert code == 2
 
+    def test_no_state_carries_between_runs(self, capsys):
+        # one parser serves every call; defaults must come back each time
+        walk = ["walk-count", "--n", "7", "--x", "3", "--y", "2", "--k", "7"]
+        code, parsed, _ = run_json(capsys, *walk, "--parity")
+        assert (code, parsed["parameters"]["mode"]) == (0, "parity")
+        code, out, _ = run_cli(capsys, *walk)
+        assert code == 0 and out.startswith("command:    walk-count")
+        assert "mode=exact" in out
+        code, out, _ = run_cli(capsys, "check-nilpotent", "--n", "2", "--format", "csv")
+        assert code == 1
+        assert next(csv.reader(io.StringIO(out))) == [
+            "check", "expected", "observed", "provenance"
+        ]
+        code, parsed, _ = run_json(capsys, *walk, "--exact")
+        assert parsed["parameters"]["mode"] == "exact"
+        assert parsed["details"][0]["observed"] == 28
+        code, out, _ = run_cli(capsys, "check-nilpotent", "--m", "3")
+        assert code == 0 and out.startswith("command:    check-nilpotent")
+        code, parsed, _ = run_json(capsys, "check-nilpotent", "--n", "7")
+        assert parsed["parameters"] == {"m": 3, "n": 7}
+        assert run_cli(capsys, "walk-count", "--n", "7")[0] == 2
+        code, parsed, _ = run_json(capsys, *walk)
+        assert parsed["parameters"]["mode"] == "exact"
+
 
 class TestConsoleEntry:
     def test_console_main_exits_with_run_code(self, capsys, monkeypatch):
@@ -271,3 +344,12 @@ class TestConsoleEntry:
         with pytest.raises(SystemExit) as exc:
             console_main()
         assert exc.value.code == 0
+
+    def test_python_dash_m(self):
+        src = str(Path(nilpath.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilpath", "check-nilpotent", "--n", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and "FAIL" in proc.stdout

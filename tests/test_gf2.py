@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,41 @@ def random_matrix(draw, max_n: int = 16) -> GF2Matrix:
 matrices = st.composite(random_matrix)()
 mid_matrices = st.composite(lambda draw: random_matrix(draw, max_n=32))()
 wide_matrices = st.composite(lambda draw: random_matrix(draw, max_n=64))()
+
+
+def mixed_matrix(draw, max_n: int) -> GF2Matrix:
+    """Rows of 0 to 3 bits, or a mix of those and uniform rows, so that
+    ``mat_mul`` runs its peeling path, its byte walk, or both in one
+    product. Rows come from a drawn seed, which keeps shrinking fast."""
+    n = draw(st.integers(1, max_n))
+    sparse_share = draw(st.sampled_from([1.0, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = tuple(
+        sum(1 << c for c in rng.sample(range(n), min(n, rng.randint(0, 3))))
+        if rng.random() < sparse_share
+        else rng.getrandbits(n)
+        for _ in range(n)
+    )
+    return GF2Matrix(n, rows)
+
+
+mixed_wide_matrices = st.composite(lambda draw: mixed_matrix(draw, max_n=64))()
+mixed_large_matrices = st.composite(lambda draw: mixed_matrix(draw, max_n=300))()
+
+
+def bitwise_broadcast(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    """Row i of ab is the XOR of the rows z of b with a(i, z) = 1, found by
+    testing every z in turn. Fast enough for n in the hundreds, where
+    ``naive_mat_mul`` is capped but a sparse row spans enough columns for
+    ``mat_mul`` to peel several bits."""
+    out = []
+    for row in a.rows:
+        acc = 0
+        for z in range(a.n):
+            if row >> z & 1:
+                acc ^= b.rows[z]
+        out.append(acc)
+    return GF2Matrix(a.n, tuple(out))
 
 
 class TestGF2Matrix:
@@ -149,6 +186,21 @@ class TestMatMul:
         assert mat_mul(i, a) == a
         assert mat_mul(a, i) == a
 
+    @given(mixed_wide_matrices, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_sparse_and_mixed_rows_match_naive_multiplier(self, a, seed):
+        rng = random.Random(seed)
+        b = GF2Matrix(a.n, tuple(rng.getrandbits(a.n) for _ in range(a.n)))
+        assert mat_mul(a, b) == naive_mat_mul(a, b)
+
+    @given(mixed_large_matrices, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_sparse_and_mixed_rows_match_bitwise_broadcast(self, a, seed):
+        rng = random.Random(seed)
+        b = GF2Matrix(a.n, tuple(rng.getrandbits(a.n) for _ in range(a.n)))
+        assert mat_mul(a, b) == bitwise_broadcast(a, b)
+        assert mat_mul(a, a) == bitwise_broadcast(a, a)
+
 
 class TestMatPow:
     def test_power_zero_is_identity(self):
@@ -177,6 +229,25 @@ class TestMatPow:
     @settings(max_examples=60)
     def test_exponent_addition_law(self, a, i, j):
         assert mat_pow(a, i + j) == mat_mul(mat_pow(a, i), mat_pow(a, j))
+
+    @given(mixed_large_matrices, st.integers(0, 10))
+    @settings(max_examples=30)
+    def test_sparse_and_mixed_rows_match_repeated_multiplication(self, a, k):
+        acc = identity(a.n)
+        for _ in range(k):
+            acc = mat_mul(acc, a)
+        assert mat_pow(a, k) == acc
+
+    def test_path_powers_of_two_have_at_most_two_bits_per_row(self):
+        # (x + 1/x)^(2^j) = x^(2^j) + x^-(2^j) over GF(2): the sparse left
+        # factor that mat_pow relies on, for every n, not only 2^m - 1
+        for n in range(1, 301):
+            a = path_adjacency(n)
+            square = a
+            for j in range(n.bit_length() + 2):
+                assert max(row.bit_count() for row in square.rows) <= 2, (n, j)
+                square = mat_mul(square, square)
+            assert square == mat_pow(a, 2 ** (j + 1))
 
 
 class TestMatIsZero:
@@ -211,6 +282,10 @@ class TestNilpotencyIndex:
 
     def test_identity_is_not_nilpotent(self):
         assert nilpotency_index(identity(5)) is None
+
+    def test_one_by_one_edge_cases(self):
+        assert nilpotency_index(zero(1)) == 1
+        assert nilpotency_index(identity(1)) is None
 
     def test_matches_brute_scan_on_paths(self):
         for n in range(1, 11):
