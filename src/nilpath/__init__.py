@@ -9,13 +9,7 @@ against the characteristic polynomial (:mod:`nilpath.charpoly`). The
 ``nilpath`` command line wraps each piece in a reporting harness.
 """
 
-from .charpoly import (
-    GF2Poly,
-    charpoly_is_monomial,
-    charpoly_path,
-    poly_add,
-    poly_shift_mul,
-)
+from .charpoly import GF2Poly, charpoly_is_monomial, charpoly_path
 from .gf2 import (
     GF2Matrix,
     identity,
@@ -92,8 +86,6 @@ __all__ = [
     "naive_reflect",
     "find_naive_failure",
     "GF2Poly",
-    "poly_add",
-    "poly_shift_mul",
     "charpoly_path",
     "charpoly_is_monomial",
     "Detail",

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "GF2Poly",
-    "poly_add",
-    "poly_shift_mul",
     "charpoly_path",
     "charpoly_is_monomial",
 ]
@@ -76,35 +74,21 @@ class GF2Poly:
         return " + ".join(terms)
 
 
-def poly_add(p: GF2Poly, q: GF2Poly) -> GF2Poly:
-    """Sum over GF(2): coefficient-wise XOR."""
-    return GF2Poly(p.bits ^ q.bits)
-
-
-def poly_shift_mul(p: GF2Poly, d: int) -> GF2Poly:
-    """Multiply by x^d."""
-    if d < 0:
-        raise ValueError(f"shift must be non-negative, got {d}")
-    return GF2Poly(p.bits << d)
-
-
 def charpoly_path(n: int) -> GF2Poly:
     """Characteristic polynomial of the n-path adjacency matrix, mod 2.
 
-    Runs the tridiagonal recurrence p_0 = 1, p_1 = x,
-    p_t = x * p_(t-1) + p_(t-2); the leading principal minors of xI - A
+    Runs the tridiagonal recurrence p_t = x * p_(t-1) + p_(t-2) from
+    p_(-1) = 0 and p_0 = 1, on packed coefficient bits: times x is a left
+    shift and the sum is an XOR. The leading principal minors of xI - A
     satisfy it, and signs vanish mod 2. n = 0 gives the empty matrix's
     polynomial, the constant 1.
     """
     if n < 0:
         raise ValueError(f"matrix size must be non-negative, got {n}")
-    prev = GF2Poly.one()
-    if n == 0:
-        return prev
-    cur = GF2Poly.monomial(1)
-    for _ in range(n - 1):
-        prev, cur = cur, poly_add(poly_shift_mul(cur, 1), prev)
-    return cur
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, (cur << 1) ^ prev
+    return GF2Poly(cur)
 
 
 def charpoly_is_monomial(n: int) -> bool:

@@ -21,7 +21,7 @@ import time
 from collections.abc import Iterator, Sequence
 
 from .charpoly import charpoly_path
-from .gf2 import mat_is_zero, mat_mul, mat_pow, nilpotency_index
+from .gf2 import mat_is_zero, mat_pow, nilpotency_index
 from .proofcheck import (
     ClassTag,
     ReflectionOutOfBounds,
@@ -35,7 +35,6 @@ from .proofcheck import (
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
     DEFAULT_ENUM_CAP,
-    EnumerationCapExceeded,
     PathSpec,
     Walk,
     count_walks_exact,
@@ -69,48 +68,57 @@ def _enum_cap() -> int:
     return cap
 
 
+def _enum_length(flag: str, k: int) -> int:
+    """Refuse a negative or over-cap enumeration length; return the cap."""
+    if k < 0:
+        raise _UsageError(f"{flag} must be non-negative, got {k}")
+    cap = _enum_cap()
+    if k > cap:
+        raise _UsageError(
+            f"{flag} {k} exceeds the enumeration cap {cap} "
+            "(override with NILPATH_ENUM_CAP)"
+        )
+    return cap
+
+
 def _value_row(check: str, value: object, provenance: str) -> Detail:
     """A report row that states a result rather than testing one."""
     return Detail(check, value, value, provenance)
 
 
 def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
-    if args.m is not None:
-        spec = PathSpec.from_m(args.m)
-        params = {"m": spec.m, "n": spec.n}
-    else:
-        spec = PathSpec.from_n(args.n)
-        params = {"m": spec.m, "n": spec.n}
+    spec = PathSpec.from_m(args.m) if args.m is not None else PathSpec.from_n(args.n)
     n = spec.n
-    a = path_adjacency(n)
-    below = mat_pow(a, n - 1)  # A^n and the corner row both come from it
+    # nilpotency_index is None exactly when A^n is nonzero, so its one
+    # power chain answers both of the first two rows
+    index = nilpotency_index(path_adjacency(n))
     details = [
         Detail(
             f"A^{n} over GF(2)",
             "zero matrix",
-            "zero matrix" if mat_is_zero(mat_mul(a, below)) else "nonzero matrix",
+            "zero matrix" if index is not None else "nonzero matrix",
             "square-and-multiply on bit-packed rows",
-        )
-    ]
-    index = nilpotency_index(a)
-    details.append(
+        ),
         Detail(
             "nilpotency index",
             n,
             index if index is not None else "none (not nilpotent)",
             "smallest e with A^e = 0",
-        )
-    )
+        ),
+    ]
     if n > 1:
+        # the same entry as bit (1, n) of A^(n-1), by the parity recurrence
         details.append(
             Detail(
                 f"corner entry (1, {n}) of A^{n - 1}",
                 1,
-                below.bit(1, n),
+                count_walks_parity(n, 1, n, n - 1),
                 "the length bound is tight: one walk spans the whole path",
             )
         )
-    return ParityReport.from_details("check-nilpotent", params, details, 0.0)
+    return ParityReport.from_details(
+        "check-nilpotent", {"m": spec.m, "n": n}, details
+    )
 
 
 def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
@@ -142,21 +150,14 @@ def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
                 "bit-packed parity recurrence",
             )
         )
-    return ParityReport.from_details("walk-count", params, details, 0.0)
+    return ParityReport.from_details("walk-count", params, details)
 
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
     n, max_k = args.n, args.max_k
     if n < 1:
         raise _UsageError(f"--n must be at least 1, got {n}")
-    if max_k < 0:
-        raise _UsageError(f"--max-k must be non-negative, got {max_k}")
-    cap = _enum_cap()
-    if max_k > cap:
-        raise _UsageError(
-            f"--max-k {max_k} exceeds the enumeration cap {cap} "
-            "(override with NILPATH_ENUM_CAP)"
-        )
+    cap = _enum_length("--max-k", max_k)
     params = {"n": n, "max_k": max_k}
     details = []
     for k in range(max_k + 1):
@@ -178,7 +179,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
                 f"{n * n} endpoint pairs, {walks_seen} walks listed",
             )
         )
-    return ParityReport.from_details("verify-lemma", params, details, 0.0)
+    return ParityReport.from_details("verify-lemma", params, details)
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
@@ -204,9 +205,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
                         f"{n * n} endpoint pairs certified",
                     )
                 )
-        return ParityReport.from_details(
-            "verify-theorem", {"all": True}, details, 0.0
-        )
+        return ParityReport.from_details("verify-theorem", {"all": True}, details)
     missing = [
         name
         for name, v in (("--m", args.m), ("--k", args.k), ("--x", args.x), ("--y", args.y))
@@ -235,14 +234,7 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     spec = PathSpec.from_m(args.m)
     n = spec.n
     k = args.k
-    if k < 0:
-        raise _UsageError(f"--k must be non-negative, got {k}")
-    cap = _enum_cap()
-    if k > cap:
-        raise _UsageError(
-            f"--k {k} exceeds the enumeration cap {cap} "
-            "(override with NILPATH_ENUM_CAP)"
-        )
+    _enum_length("--k", k)
     if n == 1:
         raise _UsageError("--m 1 has a single vertex and no midpoint to reflect across")
     pivot = 2 ** (args.m - 1)
@@ -274,7 +266,7 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
         Detail("no fixed points", 0, bad_fixed, src),
         Detail("applying twice restores the walk", 0, bad_double, src),
     ]
-    return ParityReport.from_details("involution-test", params, details, 0.0)
+    return ParityReport.from_details("involution-test", params, details)
 
 
 def _cmd_census(args: argparse.Namespace) -> ParityReport:
@@ -299,16 +291,12 @@ def _cmd_census(args: argparse.Namespace) -> ParityReport:
             "offset i = pivot reached after exactly i steps",
         ),
     ]
-    return ParityReport.from_details("census", params, details, 0.0)
+    return ParityReport.from_details("census", params, details)
 
 
 def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
     n, k = args.n, args.k
-    cap = _enum_cap()
-    try:
-        witness = find_naive_failure(n, k, cap=cap)
-    except EnumerationCapExceeded as exc:
-        raise _UsageError(str(exc) + " (override with NILPATH_ENUM_CAP)")
+    witness = find_naive_failure(n, k, cap=_enum_length("--k", k))
     params = {"n": n, "k": k}
     details = [
         Detail(
@@ -341,7 +329,7 @@ def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
         )
         if escape is not None:
             details.append(_value_row("escape detail", escape, "reflection attempt"))
-    return ParityReport.from_details("naive-demo", params, details, 0.0)
+    return ParityReport.from_details("naive-demo", params, details)
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
@@ -366,7 +354,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
                 "every coefficient below the top vanishes",
             )
         )
-    return ParityReport.from_details("charpoly", params, details, 0.0)
+    return ParityReport.from_details("charpoly", params, details)
 
 
 def _cmd_bench(args: argparse.Namespace) -> ParityReport:
@@ -387,7 +375,7 @@ def _cmd_bench(args: argparse.Namespace) -> ParityReport:
                 f"{ms:.1f} ms wall time",
             )
         )
-    return ParityReport.from_details("bench", {"max_m": args.max_m}, details, 0.0)
+    return ParityReport.from_details("bench", {"max_m": args.max_m}, details)
 
 
 @functools.cache
@@ -547,9 +535,7 @@ def run(argv: Sequence[str]) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if report.elapsed_ms == 0.0:
-        report = report.with_elapsed(elapsed_ms)
+    report = report.with_elapsed((time.perf_counter() - started) * 1000.0)
     sys.stdout.write(_render(args.format, report))
     return 0 if report.passed else 1
 

@@ -15,15 +15,17 @@ but broken variant of the reflection that picks its pivot by divisibility.
 from __future__ import annotations
 
 import enum
-import time
 from collections import Counter
 from dataclasses import dataclass
 
 from .report import Detail, ParityReport
 from .walks import (
     DEFAULT_ENUM_CAP,
-    EnumerationCapExceeded,
+    PathSpec,
     Walk,
+    _check_args,
+    _check_cap,
+    _count_vectors,
     count_walks_exact,
     count_walks_parity,
     iter_walks_from,
@@ -103,15 +105,10 @@ def _require_valid(n: int, walk: Walk) -> None:
         raise ValueError(f"walk {walk} is not a valid walk in the {n}-path")
 
 
-def _require_vertex(n: int, v: int, name: str) -> None:
-    if not 1 <= v <= n:
-        raise ValueError(f"{name} = {v} is outside 1..{n}")
-
-
 def classify(n: int, walk: Walk, pivot: int) -> WalkClass:
     """Class of a walk by its number of pivot visits: 0, 1, or >= 2."""
     _require_valid(n, walk)
-    _require_vertex(n, pivot, "pivot")
+    _check_args(n, pivot=pivot)
     visits = sum(1 for v in walk.vertices if v == pivot)
     if visits == 0:
         tag = ClassTag.CLASS1
@@ -169,26 +166,6 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
     return Walk(tuple(vs))
 
 
-def _avoiding_counts(n: int, forbidden: int, start: int, steps: int) -> list[list[int]]:
-    """Counting vectors for walks from ``start`` that never touch ``forbidden``.
-
-    Returns per-step vectors with sentinel zeros at 0 and n + 1; all-zero
-    throughout when start == forbidden (the walk is dirty from step 0).
-    """
-    row = [0] * (n + 2)
-    if start != forbidden:
-        row[start] = 1
-    table = [row]
-    for _ in range(steps):
-        nxt = [0] * (n + 2)
-        for v in range(1, n + 1):
-            if v != forbidden:
-                nxt[v] = row[v - 1] + row[v + 1]
-        row = nxt
-        table.append(row)
-    return table
-
-
 def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
     """Exact three-class counts for walks of length k from x to y.
 
@@ -196,22 +173,18 @@ def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
     a clean prefix count (first pivot contact exactly at step i) and a
     clean suffix count, and c3 is the remainder of the total.
     """
-    _require_vertex(n, pivot, "pivot")
-    _require_vertex(n, x, "x")
-    _require_vertex(n, y, "y")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
+    _check_args(n, k, pivot=pivot, x=x, y=y)
     total = count_walks_exact(n, x, y, k)
-    fwd = _avoiding_counts(n, pivot, x, k)
-    bwd = _avoiding_counts(n, pivot, y, k)  # walk reversal: counts from y
-    c1 = fwd[k][y]
     # arrivals[i]: walks x -> pivot of length i whose only pivot visit is the
-    # final vertex; departures[j]: the mirror image for pivot -> y.
-    arrivals = [1 if x == pivot else 0]
-    departures = [1 if y == pivot else 0]
-    for t in range(1, k + 1):
-        arrivals.append(fwd[t - 1][pivot - 1] + fwd[t - 1][pivot + 1])
-        departures.append(bwd[t - 1][pivot - 1] + bwd[t - 1][pivot + 1])
+    # final vertex; departures[j]: the mirror image for pivot -> y, counted
+    # from y by walk reversal. The vectors are streamed, not kept.
+    arrivals = [int(x == pivot)]
+    departures = [int(y == pivot)]
+    steps = zip(_count_vectors(n, x, k, pivot), _count_vectors(n, y, k, pivot))
+    for fwd, bwd in steps:
+        arrivals.append(fwd[pivot - 1] + fwd[pivot + 1])
+        departures.append(bwd[pivot - 1] + bwd[pivot + 1])
+    c1 = fwd[y]  # the step-k vector
     per_step = tuple(arrivals[i] * departures[k - i] for i in range(k + 1))
     c2 = sum(per_step)
     return ClassCensus(c1, c2, total - c1 - c2, per_step)
@@ -347,14 +320,10 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     exact census, and cross-checks the total against the mod-2 counting
     vector. The report carries one row per class plus the cross-check.
     """
-    started = time.perf_counter()
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    n = 2**m - 1
+    n = PathSpec.from_m(m).n
     if k < n:
         raise ValueError(f"k = {k} is below the bound: need k >= n = {n}")
-    _require_vertex(n, x, "x")
-    _require_vertex(n, y, "y")
+    _check_args(n, k, x=x, y=y)
 
     params = {"m": m, "n": n, "k": k, "x": x, "y": y}
     details: list[Detail] = []
@@ -406,8 +375,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             "bit-vector counting recurrence, independent of the class split",
         )
     )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return ParityReport.from_details("theorem-check", params, details, elapsed_ms)
+    return ParityReport.from_details("theorem-check", params, details)
 
 
 def _parity_word(count: int) -> str:
@@ -463,14 +431,8 @@ def find_naive_failure(
     returns the first one where ``naive_reflect`` leaves 1..n, or None when
     the naive method happens to work everywhere at this size.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
-    if k > cap:
-        raise EnumerationCapExceeded(
-            f"length {k} exceeds the enumeration cap {cap}"
-        )
+    _check_args(n, k)
+    _check_cap(k, cap)
     for start in range(1, n + 1):
         for walk in iter_walks_from(n, start, k):
             pivot = naive_pivot(walk)

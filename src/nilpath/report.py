@@ -47,7 +47,7 @@ class ParityReport:
         command: str,
         parameters: Mapping[str, Any],
         details: Iterable[Detail],
-        elapsed_ms: float,
+        elapsed_ms: float = 0.0,
     ) -> "ParityReport":
         rows = tuple(details)
         verdict = "pass" if all(d.passed for d in rows) else "fail"

@@ -6,11 +6,20 @@ three independent ways across this package: a step-by-step counting vector
 (exact, arbitrary precision), a mod-2 bit-vector version of the same
 recurrence, and powers of the adjacency matrix. Brute-force enumeration
 backs them all at small sizes.
+
+This module is the only place that walks a path, counts on it and checks
+walk arguments. ``_walks`` is the single depth-first search: every walk
+listing, with or without a fixed end vertex, comes from it.
+``_count_vectors`` is the single counting step, shared by the exact count
+and the three-class census of :mod:`nilpath.proofcheck`, which passes the
+vertex its walks must avoid. ``_check_args`` and ``_check_cap`` validate
+the walk arguments of the functions in both modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from .gf2 import GF2Matrix
@@ -46,8 +55,7 @@ class PathSpec:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be at least 1, got {self.n}")
+        _check_args(self.n)
         if self.m is not None and self.n != 2**self.m - 1:
             raise ValueError(f"n = {self.n} is not 2^{self.m} - 1")
 
@@ -97,19 +105,25 @@ class Walk:
         return "-".join(str(v) for v in self.vertices)
 
 
-def _check_n(n: int) -> None:
+def _check_args(n: int, k: int = 0, **vertices: int) -> None:
+    """The one argument validator: n >= 1, each named vertex in 1..n, k >= 0."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
+    for name, v in vertices.items():
+        if not 1 <= v <= n:
+            raise ValueError(f"{name} = {v} is outside 1..{n}")
+    if k < 0:
+        raise ValueError(f"walk length must be non-negative, got {k}")
 
 
-def _check_vertex(n: int, v: int, name: str) -> None:
-    if not 1 <= v <= n:
-        raise ValueError(f"{name} = {v} is outside 1..{n}")
+def _check_cap(k: int, cap: int) -> None:
+    if k > cap:
+        raise EnumerationCapExceeded(f"length {k} exceeds the enumeration cap {cap}")
 
 
 def path_adjacency(n: int) -> GF2Matrix:
     """Adjacency matrix of the n-vertex path: bit (i, j) = 1 iff |i - j| = 1."""
-    _check_n(n)
+    _check_args(n)
     rows = []
     for i in range(n):
         row = 0
@@ -129,33 +143,45 @@ def walk_is_valid(n: int, walk: Walk) -> bool:
     return all(abs(b - a) == 1 for a, b in zip(vs, vs[1:]))
 
 
-def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
-    """Yield every length-k walk starting at x, in lexicographic order."""
-    _check_n(n)
-    _check_vertex(n, x, "x")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
+def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[Walk]:
+    """The one DFS: length-k walks from x in lexicographic order.
+
+    With y = None it yields every such walk; otherwise only those ending
+    at y. Each step moves the position and the remaining length by one,
+    so the parity of their difference is fixed and checked once here;
+    the loop prunes only prefixes too far from y to get back in time.
+    """
+    if y is not None and (abs(x - y) > k or (k - x + y) % 2):
+        return
     if k == 0:
         yield Walk((x,))
         return
+    nbrs = [()] + [
+        tuple(u for u in (v - 1, v + 1) if 1 <= u <= n) for v in range(1, n + 1)
+    ]
     path = [x]
-    stack = [_moves(x, n)]
+    stack = [iter(nbrs[x])]
     while stack:
         v = next(stack[-1], None)
         if v is None:
             stack.pop()
             path.pop()
-            continue
-        path.append(v)
-        if len(path) == k + 1:
-            yield Walk(tuple(path))
-            path.pop()
-        else:
-            stack.append(_moves(v, n))
+        elif y is None or abs(v - y) <= k - len(path):
+            path.append(v)
+            if len(path) > k:
+                yield Walk(tuple(path))
+                path.pop()
+            else:
+                stack.append(iter(nbrs[v]))
 
 
-def _moves(v: int, n: int) -> Iterator[int]:
-    return iter([u for u in (v - 1, v + 1) if 1 <= u <= n])
+def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
+    """Yield every length-k walk starting at x, in lexicographic order.
+
+    Arguments are checked at the call, before the first walk is asked for.
+    """
+    _check_args(n, k, x=x)
+    return _walks(n, x, k, None)
 
 
 def enumerate_walks(
@@ -167,49 +193,27 @@ def enumerate_walks(
     The search prunes any prefix that cannot reach y in the remaining steps
     (too far away, or wrong parity), so the cost is linear in the output.
     """
-    _check_n(n)
-    _check_vertex(n, x, "x")
-    _check_vertex(n, y, "y")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
-    if k > cap:
-        raise EnumerationCapExceeded(
-            f"length {k} exceeds the enumeration cap {cap}"
-        )
-    return list(_iter_walks_between(n, x, y, k))
+    _check_args(n, k, x=x, y=y)
+    _check_cap(k, cap)
+    return list(_walks(n, x, k, y))
 
 
-def _iter_walks_between(n: int, x: int, y: int, k: int) -> Iterator[Walk]:
-    def reachable(v: int, steps: int) -> bool:
-        d = abs(v - y)
-        return d <= steps and (steps - d) % 2 == 0
+def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]]:
+    """The one counting step: yield the counting vectors of steps 0..k.
 
-    if not reachable(x, k):
-        return
-    if k == 0:
-        yield Walk((x,))
-        return
-    path = [x]
-    stack = [_pruned_moves(x, n, y, k - 1, reachable)]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            path.pop()
-            continue
-        path.append(v)
-        if len(path) == k + 1:
-            yield Walk(tuple(path))
-            path.pop()
-        else:
-            stack.append(_pruned_moves(v, n, y, k - len(path), reachable))
-    return
-
-
-def _pruned_moves(v, n, y, steps_after, reachable) -> Iterator[int]:
-    return iter(
-        [u for u in (v - 1, v + 1) if 1 <= u <= n and reachable(u, steps_after)]
-    )
+    Entry v of the vector after t steps is the number of length-t walks
+    from x to v that never touch ``avoid``. Positions 0 and n + 1 are
+    permanent-zero sentinels, so the default avoid = 0 changes nothing.
+    """
+    counts = [0] * (n + 2)
+    counts[x] = 1
+    counts[avoid] = 0
+    yield counts
+    for _ in range(k):
+        # the count at v sums the counts at v - 1 and v + 1 a step earlier
+        counts = [0, *map(add, counts, counts[2:]), 0]
+        counts[avoid] = 0
+        yield counts
 
 
 def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
@@ -220,16 +224,9 @@ def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     2^k, hence arbitrary precision. A length-0 walk exists exactly when
     x = y.
     """
-    _check_n(n)
-    _check_vertex(n, x, "x")
-    _check_vertex(n, y, "y")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
-    # positions 0 and n + 1 are permanent-zero sentinels
-    counts = [0] * (n + 2)
-    counts[x] = 1
-    for _ in range(k):
-        counts = [0] + [counts[v - 1] + counts[v + 1] for v in range(1, n + 1)] + [0]
+    _check_args(n, k, x=x, y=y)
+    for counts in _count_vectors(n, x, k):
+        pass
     return counts[y]
 
 
@@ -240,11 +237,7 @@ def count_walks_parity(n: int, x: int, y: int, k: int) -> int:
     the whole counting vector is one bit mask and a step is two shifts and
     an XOR. Equals bit (x, y) of the k-th adjacency-matrix power.
     """
-    _check_n(n)
-    _check_vertex(n, x, "x")
-    _check_vertex(n, y, "y")
-    if k < 0:
-        raise ValueError(f"walk length must be non-negative, got {k}")
+    _check_args(n, k, x=x, y=y)
     mask = 1 << (x - 1)
     full = (1 << n) - 1
     for _ in range(k):
@@ -259,7 +252,7 @@ def integer_adjacency_power(n: int, k: int) -> list[list[int]]:
     route that the fast counters are checked against, entry by entry
     (entry (x-1, y-1) is the exact number of length-k walks from x to y).
     """
-    _check_n(n)
+    _check_args(n)
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
     adj = [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]

@@ -1,20 +1,14 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nilpath.charpoly import (
     GF2Poly,
     charpoly_is_monomial,
     charpoly_path,
-    poly_add,
-    poly_shift_mul,
 )
 from nilpath.gf2 import nilpotency_index
 from nilpath.walks import path_adjacency
 
 from oracles import cofactor_charpoly_bits
-
-bit_vectors = st.integers(0, (1 << 40) - 1).map(GF2Poly)
 
 
 class TestGF2Poly:
@@ -53,33 +47,6 @@ class TestGF2Poly:
         assert str(GF2Poly(0b10)) == "x"
         assert str(GF2Poly(0b111)) == "x^2 + x + 1"
         assert str(GF2Poly(0b1000001)) == "x^6 + 1"
-
-
-class TestPolyOps:
-    @given(bit_vectors, bit_vectors)
-    def test_add_commutes(self, p, q):
-        assert poly_add(p, q) == poly_add(q, p)
-
-    @given(bit_vectors, bit_vectors, bit_vectors)
-    def test_add_associates(self, p, q, r):
-        assert poly_add(poly_add(p, q), r) == poly_add(p, poly_add(q, r))
-
-    @given(bit_vectors)
-    def test_add_self_inverse(self, p):
-        assert poly_add(p, p) == GF2Poly.zero()
-        assert poly_add(p, GF2Poly.zero()) == p
-
-    @given(bit_vectors, st.integers(0, 30))
-    def test_shift_raises_degree(self, p, d):
-        shifted = poly_shift_mul(p, d)
-        if p.is_zero():
-            assert shifted.is_zero()
-        else:
-            assert shifted.degree == p.degree + d
-
-    def test_shift_rejects_negative(self):
-        with pytest.raises(ValueError):
-            poly_shift_mul(GF2Poly.one(), -1)
 
 
 class TestCharpolyPath:

@@ -75,6 +75,43 @@ class TestExitCodes:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (["verify-lemma", "--n", "0", "--max-k", "2"], "--n"),
+            (["verify-lemma", "--n", "3", "--max-k", "-1"], "--max-k"),
+            (["involution-test", "--m", "3", "--k", "-1"], "--k"),
+            (["naive-demo", "--n", "7", "--k", "-1"], "--k"),
+            (["naive-demo", "--n", "7", "--k", "99"], "--k 99"),
+            (["charpoly", "--n", "-1"], "--n"),
+            (["bench", "--max-m", "0"], "--max-m"),
+            (
+                ["census", "--n", "7", "--pivot", "0", "--x", "1", "--y", "1", "--k", "3"],
+                "pivot = 0",
+            ),
+        ],
+    )
+    def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):
+        monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert says in err
+        assert "Traceback" not in err
+
+    def test_cap_refusals_name_the_flag_and_the_variable(self, capsys, monkeypatch):
+        monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
+        for argv in (
+            ["verify-lemma", "--n", "3", "--max-k", "99"],
+            ["involution-test", "--m", "3", "--k", "99"],
+            ["naive-demo", "--n", "7", "--k", "99"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert f"{argv[-2]} 99 exceeds the enumeration cap" in err
+            assert "NILPATH_ENUM_CAP" in err
+
 
 class TestCheckNilpotent:
     def test_reports_index(self, capsys):
@@ -91,6 +128,25 @@ class TestCheckNilpotent:
 
     def test_m_and_n_conflict(self, capsys):
         assert run_cli(capsys, "check-nilpotent", "--m", "3", "--n", "7")[0] == 2
+
+    def test_one_power_chain(self, capsys, monkeypatch):
+        import nilpath.cli
+        import nilpath.gf2
+
+        calls = []
+        real = nilpath.gf2.mat_pow
+
+        def counting(a, k):
+            calls.append(k)
+            return real(a, k)
+
+        for module in (nilpath.gf2, nilpath.cli):
+            monkeypatch.setattr(module, "mat_pow", counting)
+        code, parsed, _ = run_json(capsys, "check-nilpotent", "--m", "6")
+        assert code == 0
+        assert calls == [62]
+        rows = {d["check"]: d for d in parsed["details"]}
+        assert rows["corner entry (1, 63) of A^62"]["observed"] == 1
 
 
 class TestWalkCount:
@@ -304,6 +360,18 @@ class TestOutputFormats:
         first.pop("elapsed_ms")
         second.pop("elapsed_ms")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2"],
+            ["check-nilpotent", "--m", "3"],
+        ],
+    )
+    def test_elapsed_time_is_stamped(self, capsys, argv):
+        code, parsed, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert parsed["elapsed_ms"] > 0
 
     def test_rejects_unknown_format(self, capsys):
         code, _, _ = run_cli(

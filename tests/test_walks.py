@@ -138,6 +138,10 @@ class TestIterWalksFrom:
         with pytest.raises(ValueError):
             list(iter_walks_from(3, 1, -1))
 
+    def test_rejects_bad_arguments_at_the_call(self):
+        with pytest.raises(ValueError, match="x = 9 is outside 1..3"):
+            iter_walks_from(3, 9, 2)
+
 
 class TestEnumerateWalks:
     def test_no_positive_length_walks_on_one_vertex(self):
