@@ -245,6 +245,12 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
         for walk in _iter_class3(n, pivot, length):
             tested += 1
             image = reflect_class3(n, walk, pivot)
+            if image == walk:
+                bad_fixed += 1
+            # classify and reflect refuse invalid walks, so they see valid ones only
+            if not walk_is_valid(n, image):
+                bad_walk += 1
+                continue
             if not (
                 image.start == walk.start
                 and image.end == walk.end
@@ -252,12 +258,8 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
                 and classify(n, image, pivot).tag is ClassTag.CLASS3
             ):
                 bad_preserve += 1
-            if image == walk:
-                bad_fixed += 1
             if reflect_class3(n, image, pivot) != walk:
                 bad_double += 1
-            if not walk_is_valid(n, image):
-                bad_walk += 1
     src = f"all class-3 walks of length <= {k}, pivot {pivot}"
     details = [
         _value_row("class-3 walks tested", tested, src),

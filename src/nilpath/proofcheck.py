@@ -15,7 +15,6 @@ but broken variant of the reflection that picks its pivot by divisibility.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 from .report import Detail, ParityReport
@@ -205,111 +204,102 @@ def _replay_even(
     k: int,
     x: int,
     y: int,
-    memo: set[tuple[int, int, int, int]],
+    memo: dict[tuple[int, int, int], int],
     trace: dict[str, str] | None = None,
 ) -> None:
-    """Re-derive, structurally, that the (m, k, x, y) walk count is even.
+    """Re-derive that every (m, j, x, y) walk count with n <= j <= k is even.
 
     Splits on midpoint visits and recurses into the half-paths, which are
     themselves paths on 2^(m-1) - 1 vertices. Nothing is enumerated; the
     function only checks that every case of the argument applies, and
     raises RuntimeError if the case analysis ever fails to cover. ``trace``
     (top level only) receives one justification string per class.
+
+    One call certifies a whole range of lengths. ``memo`` maps an endpoint
+    pair (m, x, y) to the largest k for which every length n..k is
+    certified, so a request up to k is settled by any stored value >= k.
+    Over all lengths and visit offsets, the class-2 factors of a node are
+    a prefix from x to the pivot's neighbour on x's side and a suffix from
+    the neighbour on y's side to y, each over one interval of lengths. So
+    a node recurses on at most four pairs, whose endpoints are the
+    half-path images of x and y or the ends of the half-path. Each level
+    then holds at most seven pairs: the memo has O(m) keys and the replay
+    makes O(m) calls, whatever k is.
     """
-    key = (m, k, x, y)
-    if trace is None and key in memo:
-        return
     n = 2**m - 1
     if k < n:
         raise RuntimeError(f"recursion broke the length bound: k = {k} < n = {n}")
+    key = (m, x, y)
+    if trace is None and memo.get(key, -1) >= k:
+        return
     if m == 1:
         # single vertex, no edges: zero walks of any positive length
-        memo.add(key)
+        memo[key] = k
         return
     p = 2 ** (m - 1)
     half = m - 1
     half_n = 2**half - 1
+    hx, hy = _half_vertex(x, p), _half_vertex(y, p)
+    ex = _half_vertex(_pivot_neighbor(x, p), p)
+    ey = _half_vertex(_pivot_neighbor(y, p), p)
 
     if x == p or y == p:
         c1_note = f"empty: an endpoint equals the midpoint {p}"
     elif (x < p) != (y < p):
         c1_note = f"empty: endpoints on opposite sides of the midpoint {p}"
     else:
-        _replay_even(half, k, _half_vertex(x, p), _half_vertex(y, p), memo)
+        _replay_even(half, k, hx, hy, memo)
         side = "left" if x < p else "right"
         c1_note = (
             f"confined to the {side} half, a path on {half_n} vertices; "
             f"recurse with the same k = {k}"
         )
 
-    kinds: Counter[str] = Counter()
-    for i in range(k + 1):
-        if i == 0:
-            if x != p or y == p:
-                kinds["structurally empty"] += 1
-            else:
-                # suffix of length k - 1 on y's side, pivot-free after step 0
-                _replay_even(
-                    half,
-                    k - 1,
-                    _half_vertex(_pivot_neighbor(y, p), p),
-                    _half_vertex(y, p),
-                    memo,
-                )
-                kinds["suffix recursion"] += 1
-        elif i == k:
-            if y != p or x == p:
-                kinds["structurally empty"] += 1
-            else:
-                _replay_even(
-                    half,
-                    k - 1,
-                    _half_vertex(x, p),
-                    _half_vertex(_pivot_neighbor(x, p), p),
-                    memo,
-                )
-                kinds["prefix recursion"] += 1
-        elif x == p or y == p:
-            # an interior first-and-only visit is impossible when an
-            # endpoint already sits on the midpoint
-            kinds["structurally empty"] += 1
-        elif i - 1 >= half_n:
-            _replay_even(
-                half,
-                i - 1,
-                _half_vertex(x, p),
-                _half_vertex(_pivot_neighbor(x, p), p),
-                memo,
-            )
-            kinds["prefix recursion"] += 1
-        elif k - i - 1 >= half_n:
-            _replay_even(
-                half,
-                k - i - 1,
-                _half_vertex(_pivot_neighbor(y, p), p),
-                _half_vertex(y, p),
-                memo,
-            )
-            kinds["suffix recursion"] += 1
-        else:
+    # Class 2, visit offset i of a length-j walk. Offset 0 (x = p != y)
+    # leaves a suffix of length j - 1 and offset j (y = p != x) a prefix of
+    # length j - 1. An interior offset, possible only when neither endpoint
+    # is p, has a prefix of length i - 1 and a suffix of length j - i - 1;
+    # the prefix reaches half_n from offset half_n + 1 on, the suffix up to
+    # offset j - 1 - half_n, and both stay at most j - 2.
+    if x == p and y != p:
+        _replay_even(half, k - 1, ey, hy, memo)
+    elif y == p and x != p:
+        _replay_even(half, k - 1, hx, ex, memo)
+    elif x != p and y != p:
+        # Coverage only grows with the length, so the lowest one, n, decides.
+        prefix = n - 1 - half_n
+        suffix = min(half_n, n - 1 - half_n)
+        if prefix + suffix < n - 1:
             raise RuntimeError(
-                f"neither factor of the step-{i} split reaches length "
+                f"neither factor of the step-{suffix + 1} split reaches length "
                 f"{half_n}; that contradicts k >= {n}"
             )
+        _replay_even(half, k - 2, hx, ex, memo)
+        _replay_even(half, k - 2, ey, hy, memo)
+    memo[key] = k
 
     if trace is not None:
         trace["class1"] = c1_note
+        if x == p or y == p:
+            # at most one end offset recurses; every other offset is empty
+            kinds = {
+                "prefix recursion": int(y == p != x),
+                "suffix recursion": int(x == p != y),
+            }
+        else:
+            # k >= n, so every offset 1..half_n has a long enough suffix
+            kinds = {"prefix recursion": k - 1 - half_n, "suffix recursion": half_n}
+        kinds["structurally empty"] = k + 1 - sum(kinds.values())
         summary = ", ".join(
-            f"{kinds[kind]} {kind}" + ("s" if kinds[kind] != 1 and kind != "structurally empty" else "")
-            for kind in ("prefix recursion", "suffix recursion", "structurally empty")
-            if kinds[kind]
+            f"{count} {kind}" + ("s" if count != 1 and kind != "structurally empty" else "")
+            for kind, count in kinds.items()
+            if count
         )
         trace["class2"] = f"visit offsets 0..{k}: {summary}"
         trace["class3"] = (
             "paired by reflecting between the first two midpoint visits; "
             "the exact midpoint keeps every reflection inside 1..n"
         )
-    memo.add(key)
 
 
 def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
@@ -340,7 +330,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     else:
         pivot = 2 ** (m - 1)
         trace: dict[str, str] = {}
-        _replay_even(m, k, x, y, set(), trace)
+        _replay_even(m, k, x, y, {}, trace)
         census = class_census(n, pivot, x, y, k)
         details.append(
             Detail(

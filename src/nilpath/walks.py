@@ -19,7 +19,7 @@ the walk arguments of the functions in both modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterator
 
 from .gf2 import GF2Matrix
@@ -138,9 +138,8 @@ def path_adjacency(n: int) -> GF2Matrix:
 def walk_is_valid(n: int, walk: Walk) -> bool:
     """True iff all vertices lie in 1..n and every step moves by exactly 1."""
     vs = walk.vertices
-    if any(not 1 <= v <= n for v in vs):
-        return False
-    return all(abs(b - a) == 1 for a, b in zip(vs, vs[1:]))
+    # min, max, map and the set comparison all run in C
+    return 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
 
 
 def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[Walk]:

@@ -2,12 +2,14 @@
 
 Each function here recomputes something the library computes, by a route
 the library does not share: bit-at-a-time matrix products, recursive walk
-listing, and a symbolic cofactor determinant. Agreement between the two
-routes is what the tests assert.
+listing, a symbolic cofactor determinant, and a certificate replay that
+checks every visit offset of every length one at a time. Agreement between
+the two routes is what the tests assert.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from nilpath.gf2 import GF2Matrix
@@ -108,3 +110,92 @@ def cofactor_charpoly_bits(n: int) -> int:
         if c % 2:
             bits |= 1 << d
     return bits
+
+
+def per_offset_replay(
+    m: int, k: int, x: int, y: int, memo: set | None = None
+) -> dict[str, str]:
+    """Replay the three-class evenness certificate one visit offset at a time.
+
+    The reference for ``proofcheck._replay_even``: the same recursion on
+    half-paths, but each length k is its own memo key and every class-2
+    visit offset 0..k is checked separately, so the cost grows with k * n.
+    Returns the top-level justification strings by class and raises
+    RuntimeError where the case analysis fails to cover. ``memo`` holds the
+    certified (m, k, x, y) and may be shared across calls to save repeats.
+    """
+    memo = set() if memo is None else memo
+    trace: dict[str, str] = {}
+
+    def replay(m: int, k: int, x: int, y: int, trace: dict | None = None) -> None:
+        key = (m, k, x, y)
+        if trace is None and key in memo:
+            return
+        n = 2**m - 1
+        if k < n:
+            raise RuntimeError(f"recursion broke the length bound: k = {k} < n = {n}")
+        if m == 1:
+            memo.add(key)
+            return
+        p = 2 ** (m - 1)
+        half_n = 2 ** (m - 1) - 1
+
+        def h(v: int) -> int:
+            return v if v < p else v - p
+
+        def e(v: int) -> int:
+            return h(p - 1 if v < p else p + 1)
+
+        if x == p or y == p:
+            c1_note = f"empty: an endpoint equals the midpoint {p}"
+        elif (x < p) != (y < p):
+            c1_note = f"empty: endpoints on opposite sides of the midpoint {p}"
+        else:
+            replay(m - 1, k, h(x), h(y))
+            side = "left" if x < p else "right"
+            c1_note = (
+                f"confined to the {side} half, a path on {half_n} vertices; "
+                f"recurse with the same k = {k}"
+            )
+
+        kinds: Counter[str] = Counter()
+        for i in range(k + 1):
+            if i == 0:
+                if x != p or y == p:
+                    kinds["structurally empty"] += 1
+                else:
+                    replay(m - 1, k - 1, e(y), h(y))
+                    kinds["suffix recursion"] += 1
+            elif i == k:
+                if y != p or x == p:
+                    kinds["structurally empty"] += 1
+                else:
+                    replay(m - 1, k - 1, h(x), e(x))
+                    kinds["prefix recursion"] += 1
+            elif x == p or y == p:
+                kinds["structurally empty"] += 1
+            elif i - 1 >= half_n:
+                replay(m - 1, i - 1, h(x), e(x))
+                kinds["prefix recursion"] += 1
+            elif k - i - 1 >= half_n:
+                replay(m - 1, k - i - 1, e(y), h(y))
+                kinds["suffix recursion"] += 1
+            else:
+                raise RuntimeError(
+                    f"neither factor of the step-{i} split reaches length "
+                    f"{half_n}; that contradicts k >= {n}"
+                )
+
+        if trace is not None:
+            trace["class1"] = c1_note
+            summary = ", ".join(
+                f"{kinds[kind]} {kind}"
+                + ("s" if kinds[kind] != 1 and kind != "structurally empty" else "")
+                for kind in ("prefix recursion", "suffix recursion", "structurally empty")
+                if kinds[kind]
+            )
+            trace["class2"] = f"visit offsets 0..{k}: {summary}"
+        memo.add(key)
+
+    replay(m, k, x, y, trace)
+    return trace

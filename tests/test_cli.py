@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import nilpath
+from nilpath import cli
 from nilpath.cli import run
-from nilpath.walks import count_walks_exact
+from nilpath.walks import Walk, count_walks_exact
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,17 @@ class TestInvolutionTest:
 
     def test_single_vertex_is_usage_error(self, capsys):
         assert run_cli(capsys, "involution-test", "--m", "1", "--k", "3")[0] == 2
+
+    def test_invalid_image_is_a_failed_check(self, capsys, monkeypatch):
+        def off_the_path(n, walk, pivot):
+            return Walk((0, *walk.vertices[1:]))
+
+        monkeypatch.setattr(cli, "reflect_class3", off_the_path)
+        code, parsed, err = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
+        rows = {d["check"]: d["observed"] for d in parsed["details"]}
+        assert code == 1
+        assert rows["image is a valid walk"] == rows["class-3 walks tested"] > 0
+        assert "Traceback" not in err
 
     def test_cap_guard(self, capsys):
         assert run_cli(capsys, "involution-test", "--m", "3", "--k", "99")[0] == 2

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from nilpath.proofcheck import (
     naive_pivot,
     naive_reflect,
     reflect_class3,
+    _replay_even,
     theorem_check,
 )
 from nilpath.walks import (
@@ -22,6 +26,7 @@ from nilpath.walks import (
     iter_walks_from,
     walk_is_valid,
 )
+from oracles import per_offset_replay
 
 
 def walks_of_length(n, k):
@@ -291,6 +296,84 @@ class TestTheoremCheck:
         report = theorem_check(m, n + extra, x, y)
         assert report.passed
         assert count_walks_parity(n, x, y, n + extra) == 0
+
+
+def _assert_matches_per_offset_replay(m, k, x, y, shared_memo=None):
+    """Same class texts and verdict as the per-offset replay; without a
+    shared memo, also check that every (m', k', a, b) the per-offset replay
+    certifies is certified here: stored as (m', a, b) up to at least k'."""
+    report = theorem_check(m, k, x, y)
+    per_offset = set() if shared_memo is None else shared_memo
+    oracle = per_offset_replay(m, k, x, y, per_offset)
+    notes = {d.check.split(":")[0]: d.provenance for d in report.details}
+    assert notes["class 1"] == oracle["class1"]
+    assert notes["class 2"] == oracle["class2"]
+    assert report.passed
+    if shared_memo is None:
+        memo = {}
+        _replay_even(m, k, x, y, memo)
+        for level, length, a, b in per_offset:
+            assert memo[level, a, b] >= length
+
+
+class TestReplayEven:
+    def test_matches_per_offset_replay_exhaustively(self):
+        memo = set()
+        for m in (2, 3, 4):
+            n = 2**m - 1
+            for k in range(n, 2 * n + 4):
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        _assert_matches_per_offset_replay(m, k, x, y, memo)
+
+    @given(st.integers(2, 6), st.integers(0, 3), st.data())
+    @settings(max_examples=40)
+    def test_matches_per_offset_replay(self, m, extra, data):
+        n = 2**m - 1
+        k = data.draw(st.integers(n, 2 * n + 3))
+        x = data.draw(st.integers(1, n))
+        y = data.draw(st.integers(1, n))
+        _assert_matches_per_offset_replay(m, k, x, y)
+
+    def test_length_below_bound_raises(self):
+        for m in range(1, 7):
+            n = 2**m - 1
+            for x, y in ((1, 1), (1, n), ((n + 1) // 2, n)):
+                with pytest.raises(RuntimeError, match="length bound"):
+                    _replay_even(m, n - 1, x, y, {})
+
+    def test_memo_holds_at_most_seven_pairs_per_level(self):
+        # Below the top, every key (j, a, b) has a in {x_j, 1, n_j} and
+        # b in {y_j, 1, n_j}, where x_j, y_j are the half-path images of the
+        # endpoints; (1, 1) and (n_j, n_j) only arise through them, so each
+        # level holds at most seven pairs and the memo O(m) of them.
+        m = 20
+        n = 2**m - 1
+        p = 2 ** (m - 1)
+        rng = random.Random(20)
+        pairs = [(1, 1), (1, n), (p, 1), (p, p), (p - 1, p + 1), (n // 3, n // 5)]
+        pairs += [(x, x) for x in (0xAAAAA, 0x55555, 786310)]
+        pairs += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(40)]
+        for x, y in pairs:
+            memo = {}
+            _replay_even(m, n, x, y, memo)
+            per_level = Counter(level for level, _, _ in memo)
+            assert max(per_level.values()) <= 7
+            assert len(memo) <= 7 * m
+            assert memo[m, x, y] == n
+
+    def test_memo_settles_longer_requests_only(self):
+        memo = {}
+        _replay_even(5, 40, 3, 9, memo)
+        snapshot = dict(memo)
+        _replay_even(5, 35, 3, 9, memo)
+        assert memo == snapshot
+        _replay_even(5, 50, 3, 9, memo)
+        assert memo[5, 3, 9] == 50
+
+    def test_full_certificate_at_m_10(self):
+        assert theorem_check(10, 1100, 341, 700).passed
+        assert theorem_check(10, 1100, 512, 3).passed
 
 
 class TestNaivePivot:

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,17 @@ class TestWalkIsValid:
     def test_single_vertex_in_range(self):
         assert walk_is_valid(7, Walk((7,)))
         assert not walk_is_valid(7, Walk((9,)))
+
+    @given(
+        st.integers(1, 9),
+        st.integers(-1, 10),
+        st.lists(st.sampled_from((-1, 1, -1, 1, 0, 2)), max_size=12),
+    )
+    def test_matches_the_definition(self, n, start, steps):
+        vs = list(accumulate(steps, initial=start))
+        in_range = all(1 <= v <= n for v in vs)
+        unit_steps = all(abs(b - a) == 1 for a, b in zip(vs, vs[1:]))
+        assert walk_is_valid(n, Walk(tuple(vs))) == (in_range and unit_steps)
 
 
 class TestIterWalksFrom:
