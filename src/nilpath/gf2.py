@@ -8,12 +8,12 @@ a row is a word-wise operation over the whole row. Multiplication uses a
 row broadcast: for each set bit ``z`` in row ``i`` of the left factor, row
 ``z`` of the right factor is XORed into result row ``i``.
 
-The cost of a product therefore follows the set bits of its left factor.
-A sparse left row has its bits peeled off one at a time; a dense one is
-walked a byte at a time through a table. Powers keep the sparse factor on
-the left: every power A^(2^j) of the path adjacency matrix has at most two
-bits per row, because (x + x^-1)^(2^j) = x^(2^j) + x^-(2^j) over GF(2)
-(Martin, Odlyzko & Wolfram, CMP 1984).
+The cost of a product therefore follows the set bits of its left factor:
+each left row has its bits peeled off one at a time, highest first. Powers
+keep the sparse factor on the left: every power A^(2^j) of the path
+adjacency matrix has at most two bits per row, because
+(x + x^-1)^(2^j) = x^(2^j) + x^-(2^j) over GF(2) (Martin, Odlyzko &
+Wolfram, CMP 1984).
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ __all__ = [
     "mat_is_zero",
     "nilpotency_index",
 ]
-
-# Set-bit positions for every byte value; lets the multiply walk a dense
-# row's support one byte at a time instead of bit by bit.
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-
 
 @dataclass(frozen=True)
 class GF2Matrix:
@@ -107,12 +102,10 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Product over Z/2Z: entry (i, j) is the XOR over z of a(i,z) AND b(z,j).
 
     Row broadcast: result row i is the XOR of the rows of ``b`` selected by
-    the set bits of row i of ``a``. Cost is one row XOR per set bit of
-    ``a``, plus finding those bits. A row with at most one set bit per 32
-    columns of its span is sparse: its bits are peeled lowest first with
-    ``row & -row``, so finding them costs per bit, not per column. Denser
-    rows are walked a byte at a time through ``_BYTE_BITS``. Put the
-    sparser factor on the left.
+    the set bits of row i of ``a``. Each row of ``a`` has its bits peeled
+    highest first with ``bit_length``, so the cost is one row XOR and a few
+    whole-row operations per set bit of ``a``. Put the sparser factor on
+    the left.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
@@ -120,21 +113,10 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     out = []
     for row in a.rows:
         acc = 0
-        # A peel step costs a few operations over the whole row, so peeling
-        # loses to the byte walk above about one bit in 9 columns at n = 64
-        # and one in 90 at n = 4095 (CPython 3.11); 1 in 32 sits between.
-        if row.bit_count() * 32 <= row.bit_length():
-            while row:
-                low = row & -row
-                acc ^= brows[low.bit_length() - 1]
-                row ^= low
-        else:
-            nbytes = (row.bit_length() + 7) // 8
-            for g, byte in enumerate(row.to_bytes(nbytes, "little")):
-                if byte:
-                    base = 8 * g
-                    for j in _BYTE_BITS[byte]:
-                        acc ^= brows[base + j]
+        while row:
+            top = row.bit_length() - 1
+            acc ^= brows[top]
+            row ^= 1 << top
         out.append(acc)
     return GF2Matrix(a.n, tuple(out))
 
@@ -182,8 +164,6 @@ def nilpotency_index(a: GF2Matrix) -> int | None:
     below = mat_pow(a, n - 1)
     if not mat_is_zero(mat_mul(a, below)):
         return None
-    if n == 1:
-        return 1
     if not mat_is_zero(below):
         return n
     lo, hi = 1, n - 1  # a^hi = 0 known

@@ -205,15 +205,13 @@ def _replay_even(
     x: int,
     y: int,
     memo: dict[tuple[int, int, int], int],
-    trace: dict[str, str] | None = None,
 ) -> None:
     """Re-derive that every (m, j, x, y) walk count with n <= j <= k is even.
 
     Splits on midpoint visits and recurses into the half-paths, which are
     themselves paths on 2^(m-1) - 1 vertices. Nothing is enumerated; the
     function only checks that every case of the argument applies, and
-    raises RuntimeError if the case analysis ever fails to cover. ``trace``
-    (top level only) receives one justification string per class.
+    raises RuntimeError if the case analysis ever fails to cover.
 
     One call certifies a whole range of lengths. ``memo`` maps an endpoint
     pair (m, x, y) to the largest k for which every length n..k is
@@ -230,7 +228,7 @@ def _replay_even(
     if k < n:
         raise RuntimeError(f"recursion broke the length bound: k = {k} < n = {n}")
     key = (m, x, y)
-    if trace is None and memo.get(key, -1) >= k:
+    if memo.get(key, -1) >= k:
         return
     if m == 1:
         # single vertex, no edges: zero walks of any positive length
@@ -243,17 +241,9 @@ def _replay_even(
     ex = _half_vertex(_pivot_neighbor(x, p), p)
     ey = _half_vertex(_pivot_neighbor(y, p), p)
 
-    if x == p or y == p:
-        c1_note = f"empty: an endpoint equals the midpoint {p}"
-    elif (x < p) != (y < p):
-        c1_note = f"empty: endpoints on opposite sides of the midpoint {p}"
-    else:
+    # Class 1 lives in one half-path when both endpoints lie on one side.
+    if x != p and y != p and (x < p) == (y < p):
         _replay_even(half, k, hx, hy, memo)
-        side = "left" if x < p else "right"
-        c1_note = (
-            f"confined to the {side} half, a path on {half_n} vertices; "
-            f"recurse with the same k = {k}"
-        )
 
     # Class 2, visit offset i of a length-j walk. Offset 0 (x = p != y)
     # leaves a suffix of length j - 1 and offset j (y = p != x) a prefix of
@@ -278,28 +268,42 @@ def _replay_even(
         _replay_even(half, k - 2, ey, hy, memo)
     memo[key] = k
 
-    if trace is not None:
-        trace["class1"] = c1_note
-        if x == p or y == p:
-            # at most one end offset recurses; every other offset is empty
-            kinds = {
-                "prefix recursion": int(y == p != x),
-                "suffix recursion": int(x == p != y),
-            }
+
+def _certificate_notes(m: int, k: int, x: int, y: int) -> tuple[str, str]:
+    """The class-1 and class-2 justifications of the top certificate node.
+
+    Closed forms of the cases ``_replay_even`` recurses on: class 1 is
+    empty or confined to one half-path, and the class-2 visit offsets
+    0..k split into prefix recursions, suffix recursions and structurally
+    empty offsets.
+    """
+    p = 2 ** (m - 1)
+    half_n = p - 1
+    if x == p or y == p:
+        class1 = f"empty: an endpoint equals the midpoint {p}"
+        # at most one end offset recurses; every other offset is empty
+        kinds = {
+            "prefix recursion": int(y == p != x),
+            "suffix recursion": int(x == p != y),
+        }
+    else:
+        if (x < p) != (y < p):
+            class1 = f"empty: endpoints on opposite sides of the midpoint {p}"
         else:
-            # k >= n, so every offset 1..half_n has a long enough suffix
-            kinds = {"prefix recursion": k - 1 - half_n, "suffix recursion": half_n}
-        kinds["structurally empty"] = k + 1 - sum(kinds.values())
-        summary = ", ".join(
-            f"{count} {kind}" + ("s" if count != 1 and kind != "structurally empty" else "")
-            for kind, count in kinds.items()
-            if count
-        )
-        trace["class2"] = f"visit offsets 0..{k}: {summary}"
-        trace["class3"] = (
-            "paired by reflecting between the first two midpoint visits; "
-            "the exact midpoint keeps every reflection inside 1..n"
-        )
+            side = "left" if x < p else "right"
+            class1 = (
+                f"confined to the {side} half, a path on {half_n} vertices; "
+                f"recurse with the same k = {k}"
+            )
+        # k >= n, so every offset 1..half_n has a long enough suffix
+        kinds = {"prefix recursion": k - 1 - half_n, "suffix recursion": half_n}
+    kinds["structurally empty"] = k + 1 - sum(kinds.values())
+    summary = ", ".join(
+        f"{count} {kind}" + ("s" if count != 1 and kind != "structurally empty" else "")
+        for kind, count in kinds.items()
+        if count
+    )
+    return class1, f"visit offsets 0..{k}: {summary}"
 
 
 def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
@@ -329,15 +333,15 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
         )
     else:
         pivot = 2 ** (m - 1)
-        trace: dict[str, str] = {}
-        _replay_even(m, k, x, y, {}, trace)
+        _replay_even(m, k, x, y, {})
+        class1_note, class2_note = _certificate_notes(m, k, x, y)
         census = class_census(n, pivot, x, y, k)
         details.append(
             Detail(
                 "class 1: walks avoiding the midpoint",
                 "even",
                 _parity_word(census.c1),
-                trace["class1"],
+                class1_note,
             )
         )
         odd_offsets = [i for i, c in enumerate(census.per_step_c2) if c % 2]
@@ -346,7 +350,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
                 "class 2: single midpoint visit, every visit offset",
                 "even",
                 "even" if not odd_offsets else f"odd at offsets {odd_offsets}",
-                trace["class2"],
+                class2_note,
             )
         )
         details.append(
@@ -354,7 +358,8 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
                 "class 3: two or more midpoint visits",
                 "even",
                 _parity_word(census.c3),
-                trace["class3"],
+                "paired by reflecting between the first two midpoint visits; "
+                "the exact midpoint keeps every reflection inside 1..n",
             )
         )
     details.append(

@@ -90,6 +90,10 @@ class TestExitCodes:
                 ["census", "--n", "7", "--pivot", "0", "--x", "1", "--y", "1", "--k", "3"],
                 "pivot = 0",
             ),
+            (
+                ["verify-theorem", "--m", "-1", "--k", "-1", "--x", "1", "--y", "1"],
+                "m must be at least 1",
+            ),
         ],
     )
     def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nilpath.gf2 import (
@@ -29,9 +29,10 @@ def random_matrix(draw, max_n: int = 16) -> GF2Matrix:
 
 def mixed_square(n: int, sparse_share: float, seed: int) -> GF2Matrix:
     """Rows of 0 to 3 bits with probability ``sparse_share``, uniform rows
-    otherwise, so that ``mat_mul`` runs its peeling path, its byte walk,
-    or both in one product. Rows come from one seed, which keeps shrinking
-    fast: drawing every row made a failing case shrink for minutes."""
+    otherwise, so that ``mat_mul`` peels rows of few bits, rows of many
+    bits, or both in one product. Rows come from one seed, which keeps
+    shrinking fast: drawing every row made a failing case shrink for
+    minutes."""
     rng = random.Random(seed)
     rows = tuple(
         sum(1 << c for c in rng.sample(range(n), min(n, rng.randint(0, 3))))
@@ -186,8 +187,12 @@ class TestMatMul:
         assert mat_mul(i, a) == a
         assert mat_mul(a, i) == a
 
+    # No shrink phase: each shrink step runs naive_mat_mul, a bit-by-bit
+    # triple loop, so shrinking a broken product took about a minute.
     @given(wide_matrices, st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
+    @settings(
+        max_examples=40, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+    )
     def test_sparse_and_mixed_rows_match_naive_multiplier(self, a, seed):
         rng = random.Random(seed)
         b = GF2Matrix(a.n, tuple(rng.getrandbits(a.n) for _ in range(a.n)))
