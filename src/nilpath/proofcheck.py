@@ -311,8 +311,9 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
 
     Requires n = 2^m - 1 vertices and k >= n. Builds the recursive
     per-class certificate, measures each class's actual parity with the
-    exact census, and cross-checks the total against the mod-2 counting
-    vector. The report carries one row per class plus the cross-check.
+    exact census, and cross-checks the total against the mod-2 count by
+    Frobenius doubling. The report carries one row per class plus the
+    cross-check.
     """
     n = PathSpec.from_m(m).n
     if k < n:
@@ -367,7 +368,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             "mod-2 walk count",
             0,
             count_walks_parity(n, x, y, k),
-            "bit-vector counting recurrence, independent of the class split",
+            "Frobenius doubling on the mirrored cycle, independent of the class split",
         )
     )
     return ParityReport.from_details("theorem-check", params, details)

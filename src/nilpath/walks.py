@@ -3,9 +3,10 @@
 The path graph on n vertices has vertex set 1..n and an edge between each
 pair of consecutive integers. Walk counts between two vertices are computed
 three independent ways across this package: a step-by-step counting vector
-(exact, arbitrary precision), a mod-2 bit-vector version of the same
-recurrence, and powers of the adjacency matrix. Brute-force enumeration
-backs them all at small sizes.
+(exact, arbitrary precision), Frobenius doubling of rule 90 on the
+mirrored 2(n + 1)-cycle (mod 2, one rotation pair per set bit of k), and
+powers of the adjacency matrix. Brute-force enumeration backs them all at
+small sizes.
 
 This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: every walk
@@ -229,19 +230,41 @@ def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     return counts[y]
 
 
+def _parity_vector(n: int, x: int, k: int) -> int:
+    """A^k e_x over GF(2) as a bit mask: bit v - 1 is the parity for vertex v.
+
+    The path embeds in the cycle on N = 2(n + 1) cells as the mirror-image
+    state with cells v and N - v set for vertex v, so cells 0 and n + 1
+    stay zero and one step of the cycle, S + S^-1 with S the rotation by
+    one cell, is one step of the path. Over GF(2),
+    (S + S^-1)^(2^j) = S^(2^j) + S^-(2^j), so the factor for bit j of k
+    rotates by 2^j mod N both ways and XORs, and the loop runs over the
+    bits of k, not over k. A rotation by 0 (N divides 2^j, which happens
+    exactly when n + 1 is a power of two) zeroes the state.
+    """
+    size = 2 * (n + 1)
+    full = (1 << size) - 1
+    state = (1 << x) | (1 << (size - x))
+    r = 1
+    while k and state:
+        if k & 1:
+            state = (
+                (state << r | state >> (size - r)) ^ (state >> r | state << (size - r))
+            ) & full
+        k >>= 1
+        r = 2 * r % size
+    return state >> 1 & ((1 << n) - 1)
+
+
 def count_walks_parity(n: int, x: int, y: int, k: int) -> int:
     """Parity (0 or 1) of the number of length-k walks from x to y.
 
-    Same recurrence as ``count_walks_exact`` but carried natively mod 2:
-    the whole counting vector is one bit mask and a step is two shifts and
-    an XOR. Equals bit (x, y) of the k-th adjacency-matrix power.
+    Bit y - 1 of ``_parity_vector(n, x, k)``: popcount(k) rotation pairs
+    of a 2(n + 1)-bit integer, so k may be astronomically large. Equals
+    bit (x, y) of the k-th adjacency-matrix power.
     """
     _check_args(n, k, x=x, y=y)
-    mask = 1 << (x - 1)
-    full = (1 << n) - 1
-    for _ in range(k):
-        mask = ((mask << 1) ^ (mask >> 1)) & full
-    return mask >> (y - 1) & 1
+    return _parity_vector(n, x, k) >> (y - 1) & 1
 
 
 def integer_adjacency_power(n: int, k: int) -> list[list[int]]:

@@ -2,8 +2,9 @@
 
 Each function here recomputes something the library computes, by a route
 the library does not share: bit-at-a-time matrix products, recursive walk
-listing, a symbolic cofactor determinant, and a certificate replay that
-checks every visit offset of every length one at a time. Agreement between
+listing, a mod-2 counting vector stepped once per unit of length, a
+symbolic cofactor determinant, and a certificate replay that checks every
+visit offset of every length one at a time. Agreement between
 the two routes is what the tests assert.
 """
 
@@ -54,6 +55,19 @@ def brute_force_walks(n: int, x: int, y: int, k: int) -> list[tuple[int, ...]]:
         grow([x])
     out.sort()
     return out
+
+
+def stepping_parity(n: int, x: int, y: int, k: int) -> int:
+    """Parity of the length-k walk count from x to y, one step at a time.
+
+    The counting recurrence carried mod 2: the whole counting vector is one
+    bit mask and a step is two shifts and an XOR, so the cost is k steps.
+    """
+    mask = 1 << (x - 1)
+    full = (1 << n) - 1
+    for _ in range(k):
+        mask = ((mask << 1) ^ (mask >> 1)) & full
+    return mask >> (y - 1) & 1
 
 
 def cofactor_charpoly_bits(n: int) -> int:

@@ -153,6 +153,17 @@ class TestCheckNilpotent:
         rows = {d["check"]: d for d in parsed["details"]}
         assert rows["corner entry (1, 63) of A^62"]["observed"] == 1
 
+    def test_cyclic_vector_row_agrees_with_matrix_row(self, capsys):
+        for n in range(1, 301):
+            code, parsed, _ = run_json(capsys, "check-nilpotent", "--n", str(n))
+            rows = {d["check"]: d["observed"] for d in parsed["details"]}
+            zero = rows[f"A^{n} over GF(2)"] == "zero matrix"
+            assert zero == ((n + 1) & n == 0)
+            assert rows[f"A^{n} e_1 over GF(2)"] == (
+                "zero vector" if zero else "nonzero vector"
+            ), n
+            assert code == (0 if zero else 1)
+
 
 class TestWalkCount:
     def test_exact_mode(self, capsys):
@@ -169,6 +180,19 @@ class TestWalkCount:
         )
         assert code == 0
         assert parsed["details"][0]["observed"] == 0
+
+    @pytest.mark.parametrize("k", [10**12, 10**100])
+    def test_huge_parity_length(self, capsys, k):
+        # n = 2^10 - 1 and k >= n, so the count is even; the route costs
+        # one rotation pair per set bit of k, not k steps
+        code, parsed, _ = run_json(
+            capsys,
+            "walk-count", "--n", "1023", "--x", "5", "--y", "700", "--k", str(k),
+            "--parity",
+        )
+        assert code == 0
+        assert parsed["details"][0]["observed"] == 0
+        assert parsed["elapsed_ms"] < 1000
 
     def test_modes_conflict(self, capsys):
         code, _, _ = run_cli(
@@ -350,7 +374,7 @@ class TestOutputFormats:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["check", "expected", "observed", "provenance"]
-        assert len(rows) == 4
+        assert len(rows) == 5
 
     def test_json_key_order(self, capsys):
         _, out, _ = run_cli(

@@ -10,6 +10,7 @@ from nilpath.walks import (
     EnumerationCapExceeded,
     PathSpec,
     Walk,
+    _parity_vector,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -19,7 +20,7 @@ from nilpath.walks import (
     walk_is_valid,
 )
 
-from oracles import brute_force_walks
+from oracles import brute_force_walks, stepping_parity
 
 
 class TestPathSpec:
@@ -287,6 +288,36 @@ class TestCountWalksParity:
         assert count_walks_parity(n, x, y, k) == mat_pow(
             path_adjacency(n), k
         ).bit(x, y)
+
+
+    @given(
+        st.one_of(st.integers(1, 64), st.sampled_from([1, 3, 7, 15, 31, 63])),
+        st.integers(0, 5000),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_stepping_oracle(self, n, k, data):
+        # up to k = 5000 the rotation 2^j mod 2(n + 1) wraps; on the family
+        # 2(n + 1) is a power of two and the rotation reaches 0
+        x = data.draw(st.integers(1, n))
+        y = data.draw(st.integers(1, n))
+        assert count_walks_parity(n, x, y, k) == stepping_parity(n, x, y, k)
+
+
+class TestParityVector:
+    @given(st.integers(1, 64), st.integers(0, 5000), st.data())
+    @settings(max_examples=50)
+    def test_is_the_matrix_power_row(self, n, k, data):
+        x = data.draw(st.integers(1, n))
+        assert _parity_vector(n, x, k) == mat_pow(path_adjacency(n), k).rows[x - 1]
+
+    def test_first_column_vanishes_at_n_exactly_on_the_family(self):
+        for n in range(1, 4097):
+            assert (_parity_vector(n, 1, n) == 0) == ((n + 1) & n == 0), n
+
+    def test_first_column_survives_one_step_short(self):
+        for n in range(1, 4097):
+            assert _parity_vector(n, 1, n - 1) != 0, n
 
 
 class TestIntegerAdjacencyPower:
