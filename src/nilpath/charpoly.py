@@ -31,40 +31,17 @@ class GF2Poly:
         if self.bits < 0:
             raise ValueError("coefficient bits must be non-negative")
 
-    @classmethod
-    def zero(cls) -> GF2Poly:
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> GF2Poly:
-        return cls(1)
-
-    @classmethod
-    def monomial(cls, d: int) -> GF2Poly:
-        """The single term x^d."""
-        if d < 0:
-            raise ValueError(f"monomial degree must be non-negative, got {d}")
-        return cls(1 << d)
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
-
-    def coefficient(self, d: int) -> int:
-        if d < 0:
-            raise ValueError(f"degree must be non-negative, got {d}")
-        return (self.bits >> d) & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"
         terms = []
         for d in range(self.degree, -1, -1):
-            if self.coefficient(d):
+            if self.bits >> d & 1:
                 if d == 0:
                     terms.append("1")
                 elif d == 1:

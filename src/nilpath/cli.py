@@ -18,12 +18,14 @@ import functools
 import os
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections import Counter
+from collections.abc import Sequence
 
 from .charpoly import charpoly_path
 from .gf2 import mat_is_zero, mat_pow, nilpotency_index
 from .proofcheck import (
     ReflectionOutOfBounds,
+    _reflect,
     class_census,
     find_naive_failure,
     naive_pivot,
@@ -36,11 +38,10 @@ from .walks import (
     PathSpec,
     Walk,
     _parity_vector,
+    _walks,
     count_walks_exact,
     count_walks_parity,
-    enumerate_walks,
     integer_adjacency_power,
-    iter_walks_from,
     path_adjacency,
     walk_is_valid,
 )
@@ -167,8 +168,12 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
     n, max_k = args.n, args.max_k
     if n < 1:
         raise _UsageError(f"--n must be at least 1, got {n}")
-    cap = _enum_length("--max-k", max_k)
+    _enum_length("--max-k", max_k)
     params = {"n": n, "max_k": max_k}
+    # one DFS per start vertex lists the walks of every length and end
+    listed = Counter()
+    for x in range(1, n + 1):
+        listed.update((len(vs) - 1, x, vs[-1]) for vs in _walks(n, x, max_k, None))
     details = []
     for k in range(max_k + 1):
         power = integer_adjacency_power(n, k)
@@ -176,7 +181,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
         walks_seen = 0
         for x in range(1, n + 1):
             for y in range(1, n + 1):
-                enumerated = len(enumerate_walks(n, x, y, k, cap=cap))
+                enumerated = listed[k, x, y]
                 walks_seen += enumerated
                 counted = count_walks_exact(n, x, y, k)
                 if not (counted == enumerated == power[x - 1][y - 1]):
@@ -227,15 +232,6 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
     return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
 
 
-def _iter_class3(n: int, pivot: int, k: int) -> Iterator[Walk]:
-    # the walks come valid from the DFS, so count pivot visits directly
-    # rather than through classify, which validates each walk again
-    for start in range(1, n + 1):
-        for walk in iter_walks_from(n, start, k):
-            if walk.vertices.count(pivot) >= 2:
-                yield walk
-
-
 def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     spec = PathSpec.from_m(args.m)
     n = spec.n
@@ -247,14 +243,19 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     params = {"m": args.m, "n": n, "k": k, "pivot": pivot}
     tested = 0
     bad_walk = bad_fixed = bad_preserve = bad_double = 0
-    for length in range(k + 1):
-        for walk in _iter_class3(n, pivot, length):
+    # one DFS per start vertex covers every length 0..k; its walks are
+    # valid, so they are classified by counting pivot visits and reflected
+    # unchecked, and only the images are validated
+    for start in range(1, n + 1):
+        for vs in _walks(n, start, k, None):
+            if vs.count(pivot) < 2:
+                continue
+            walk = Walk(vs)
             tested += 1
-            image = reflect_class3(n, walk, pivot)
+            image = _reflect(n, walk, pivot)
             if image == walk:
                 bad_fixed += 1
-            # reflect refuses invalid walks, and the pivot count below takes a
-            # valid one, so both see valid images only
+            # the checks below and _reflect take valid walks only
             if not walk_is_valid(n, image):
                 bad_walk += 1
                 continue
@@ -265,7 +266,7 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
                 and image.vertices.count(pivot) >= 2
             ):
                 bad_preserve += 1
-            if reflect_class3(n, image, pivot) != walk:
+            if _reflect(n, image, pivot) != walk:
                 bad_double += 1
     src = f"all class-3 walks of length <= {k}, pivot {pivot}"
     details = [

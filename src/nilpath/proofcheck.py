@@ -144,7 +144,9 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
     never equal to it, and applying the map twice restores the input.
     Raises ReflectionOutOfBounds when a mirrored vertex would leave 1..n:
     impossible for the exact midpoint pivot of an odd path, but easy to
-    trigger for off-center pivots.
+    trigger for off-center pivots. This shell validates the walk and its
+    class, then calls the unchecked core ``_reflect``, which serves walks
+    that the DFS produced.
     """
     wc = classify(n, walk, pivot)
     if wc.tag is not ClassTag.CLASS3:
@@ -152,6 +154,11 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
             f"walk {walk} visits pivot {pivot} {wc.pivot_visits} times, "
             "need at least two"
         )
+    return _reflect(n, walk, pivot)
+
+
+def _reflect(n: int, walk: Walk, pivot: int) -> Walk:
+    """``reflect_class3`` without its checks: walk must visit pivot twice."""
     vs = list(walk.vertices)
     first = vs.index(pivot)
     second = vs.index(pivot, first + 1)
@@ -168,25 +175,38 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
 def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
     """Exact three-class counts for walks of length k from x to y.
 
-    c1 comes from a pivot-avoiding count, per_step_c2[i] is the product of
-    a clean prefix count (first pivot contact exactly at step i) and a
-    clean suffix count, and c3 is the remainder of the total.
+    Every count splits a walk at its first pivot visit. c1 comes from a
+    pivot-avoiding count; per_step_c2[i] is the product of a clean prefix
+    count (first pivot contact exactly at step i) and a clean suffix
+    count; c3 sums the same prefix counts times the suffixes that return
+    to the pivot, which are all pivot-to-y walks less the clean ones.
+    Nothing is derived from the total, so c1 + c2 + c3 can be checked
+    against ``count_walks_exact``.
     """
     _check_args(n, k, pivot=pivot, x=x, y=y)
-    total = count_walks_exact(n, x, y, k)
     # arrivals[i]: walks x -> pivot of length i whose only pivot visit is the
     # final vertex; departures[j]: the mirror image for pivot -> y, counted
-    # from y by walk reversal. The vectors are streamed, not kept.
+    # from y by walk reversal; returns[j]: all walks pivot -> y of length j,
+    # read the same way from an unavoided stream. The vectors are streamed,
+    # not kept.
     arrivals = [int(x == pivot)]
     departures = [int(y == pivot)]
-    steps = zip(_count_vectors(n, x, k, pivot), _count_vectors(n, y, k, pivot))
-    for fwd, bwd in steps:
+    returns = []
+    steps = zip(
+        _count_vectors(n, x, k, pivot),
+        _count_vectors(n, y, k, pivot),
+        _count_vectors(n, y, k),
+    )
+    for fwd, bwd, full in steps:
         arrivals.append(fwd[pivot - 1] + fwd[pivot + 1])
         departures.append(bwd[pivot - 1] + bwd[pivot + 1])
+        returns.append(full[pivot])
     c1 = fwd[y]  # the step-k vector
     per_step = tuple(arrivals[i] * departures[k - i] for i in range(k + 1))
-    c2 = sum(per_step)
-    return ClassCensus(c1, c2, total - c1 - c2, per_step)
+    c3 = sum(
+        arrivals[i] * (returns[k - i] - departures[k - i]) for i in range(k + 1)
+    )
+    return ClassCensus(c1, sum(per_step), c3, per_step)
 
 
 def _half_vertex(v: int, pivot: int) -> int:
@@ -435,7 +455,7 @@ def find_naive_failure(
             if pivot is None:
                 continue
             try:
-                reflect_class3(n, walk, pivot)
+                _reflect(n, walk, pivot)
             except ReflectionOutOfBounds:
                 return walk
     return None

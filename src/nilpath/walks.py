@@ -9,8 +9,10 @@ powers of the adjacency matrix. Brute-force enumeration backs them all at
 small sizes.
 
 This module is the only place that walks a path, counts on it and checks
-walk arguments. ``_walks`` is the single depth-first search: every walk
-listing, with or without a fixed end vertex, comes from it.
+walk arguments. ``_walks`` is the single depth-first search: it yields
+every node of its search tree, so one pass from a start vertex lists the
+walks of every length up to k, and every walk listing, with or without a
+fixed end vertex, picks its nodes from it.
 ``_count_vectors`` is the single counting step, shared by the exact count
 and the three-class census of :mod:`nilpath.proofcheck`, which passes the
 vertex its walks must avoid. ``_check_args`` and ``_check_cap`` validate
@@ -143,24 +145,26 @@ def walk_is_valid(n: int, walk: Walk) -> bool:
     return 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
 
 
-def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[Walk]:
-    """The one DFS: length-k walks from x in lexicographic order.
+def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
+    """The one DFS: every node of the search tree, as a vertex tuple.
 
-    With y = None it yields every such walk; otherwise only those ending
-    at y. Each step moves the position and the remaining length by one,
-    so the parity of their difference is fixed and checked once here;
-    the loop prunes only prefixes too far from y to get back in time.
+    With y = None the nodes are all the walks from x of length at most k,
+    each prefix before its extensions, so the order is lexicographic.
+    With a target y the search keeps only prefixes that can still end at
+    y after exactly k steps. Each step moves the position and the
+    remaining length by one, so the parity of their difference is fixed
+    and checked once here; the loop prunes only prefixes too far from y
+    to get back in time. The caller picks the nodes it needs, such as the
+    length-k ones, and arguments are not checked.
     """
     if y is not None and (abs(x - y) > k or (k - x + y) % 2):
-        return
-    if k == 0:
-        yield Walk((x,))
         return
     nbrs = [()] + [
         tuple(u for u in (v - 1, v + 1) if 1 <= u <= n) for v in range(1, n + 1)
     ]
+    yield (x,)
     path = [x]
-    stack = [iter(nbrs[x])]
+    stack = [iter(nbrs[x])] if k else []
     while stack:
         v = next(stack[-1], None)
         if v is None:
@@ -168,8 +172,8 @@ def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[Walk]:
             path.pop()
         elif y is None or abs(v - y) <= k - len(path):
             path.append(v)
+            yield tuple(path)
             if len(path) > k:
-                yield Walk(tuple(path))
                 path.pop()
             else:
                 stack.append(iter(nbrs[v]))
@@ -181,7 +185,7 @@ def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
     Arguments are checked at the call, before the first walk is asked for.
     """
     _check_args(n, k, x=x)
-    return _walks(n, x, k, None)
+    return (Walk(vs) for vs in _walks(n, x, k, None) if len(vs) > k)
 
 
 def enumerate_walks(
@@ -195,7 +199,7 @@ def enumerate_walks(
     """
     _check_args(n, k, x=x, y=y)
     _check_cap(k, cap)
-    return list(_walks(n, x, k, y))
+    return [Walk(vs) for vs in _walks(n, x, k, y) if len(vs) > k]
 
 
 def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]]:

@@ -238,6 +238,29 @@ class TestVerifyLemma:
         assert code == 2
         assert "cap" in err
 
+    def test_one_dfs_per_start_vertex(self, capsys, monkeypatch):
+        import nilpath.walks
+
+        starts = []
+        real = nilpath.walks._walks
+
+        def counting(n, x, k, y):
+            starts.append((x, k, y))
+            return real(n, x, k, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-lemma must not re-search per endpoint pair")
+
+        monkeypatch.setattr(cli, "_walks", counting)
+        for module in (nilpath.walks, cli):
+            monkeypatch.setattr(module, "enumerate_walks", refuse, raising=False)
+        code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "5", "--max-k", "7")
+        assert code == 0
+        assert starts == [(x, 7, None) for x in range(1, 6)]
+        provenance = [d["provenance"] for d in parsed["details"]]
+        assert provenance[0] == "25 endpoint pairs, 5 walks listed"
+        assert provenance[7] == "25 endpoint pairs, 216 walks listed"
+
 
 class TestVerifyTheorem:
     def test_single_case(self, capsys):
@@ -286,7 +309,7 @@ class TestInvolutionTest:
         def off_the_path(n, walk, pivot):
             return Walk((0, *walk.vertices[1:]))
 
-        monkeypatch.setattr(cli, "reflect_class3", off_the_path)
+        monkeypatch.setattr(cli, "_reflect", off_the_path)
         code, parsed, err = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
         rows = {d["check"]: d["observed"] for d in parsed["details"]}
         assert code == 1
@@ -295,6 +318,21 @@ class TestInvolutionTest:
 
     def test_cap_guard(self, capsys):
         assert run_cli(capsys, "involution-test", "--m", "3", "--k", "99")[0] == 2
+
+    def test_each_walk_is_validated_once(self, capsys, monkeypatch):
+        checked = []
+        real = cli.walk_is_valid
+
+        def counting(n, walk):
+            checked.append(walk)
+            return real(n, walk)
+
+        monkeypatch.setattr(cli, "walk_is_valid", counting)
+        monkeypatch.setattr(nilpath.proofcheck, "walk_is_valid", counting)
+        code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "8")
+        rows = {d["check"]: d["observed"] for d in parsed["details"]}
+        assert code == 0
+        assert len(checked) == rows["class-3 walks tested"] > 0
 
 
 class TestCensus:
@@ -309,6 +347,7 @@ class TestCensus:
         assert rows["class 2 (pivot visited once)"]["observed"] == 8
         assert rows["class 3 (pivot visited twice or more)"]["observed"] == 12
         assert rows["classes partition all walks"]["expected"] == 28
+        assert rows["classes partition all walks"]["observed"] == 28
 
 
 class TestNaiveDemo:

@@ -221,6 +221,18 @@ class TestClassCensus:
         assert sum(census.per_step_c2) == census.c2
         assert min(census.c1, census.c2, census.c3) >= 0
 
+    def test_never_reads_the_total(self, monkeypatch):
+        import nilpath.proofcheck
+
+        def refuse(*args):
+            raise AssertionError("class_census must not call count_walks_exact")
+
+        monkeypatch.setattr(nilpath.proofcheck, "count_walks_exact", refuse)
+        for x in range(1, 8):
+            for y in range(1, 8):
+                census = class_census(7, 4, x, y, 9)
+                assert census.total == len(enumerate_walks(7, x, y, 9))
+
     def test_per_step_entries_even_at_midpoint(self):
         for k in (7, 8, 9):
             for x in range(1, 8):

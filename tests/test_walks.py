@@ -11,6 +11,7 @@ from nilpath.walks import (
     PathSpec,
     Walk,
     _parity_vector,
+    _walks,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -155,6 +156,46 @@ class TestIterWalksFrom:
     def test_rejects_bad_arguments_at_the_call(self):
         with pytest.raises(ValueError, match="x = 9 is outside 1..3"):
             iter_walks_from(3, 9, 2)
+
+
+class TestSearch:
+    """``_walks`` yields every node of its search tree, prefixes first."""
+
+    @staticmethod
+    def brute_nodes(n, x, k):
+        # brute_force_walks(n, x, y, length), keyed by (y, length)
+        return {
+            (y, length): brute_force_walks(n, x, y, length)
+            for y in range(1, n + 1)
+            for length in range(k + 1)
+        }
+
+    def test_every_walk_up_to_k_in_lexicographic_order(self):
+        for n in range(1, 8):
+            for x in range(1, n + 1):
+                ref = self.brute_nodes(n, x, 8)
+                for k in range(9):
+                    mine = list(_walks(n, x, k, None))
+                    expected = sorted(
+                        w for (_, length), ws in ref.items() if length <= k for w in ws
+                    )
+                    assert mine == expected, (n, x, k)
+
+    def test_target_keeps_exactly_the_prefixes_that_reach_it(self):
+        # a path with an edge can bounce, so every prefix close enough to y
+        # with the right parity extends to a length-k walk ending at y
+        for n in range(2, 8):
+            for x in range(1, n + 1):
+                ref = self.brute_nodes(n, x, 8)
+                for k in range(9):
+                    for y in range(1, n + 1):
+                        mine = list(_walks(n, x, k, y))
+                        prefixes = {
+                            w[: length + 1]
+                            for w in ref[y, k]
+                            for length in range(k + 1)
+                        }
+                        assert mine == sorted(prefixes), (n, x, k, y)
 
 
 class TestEnumerateWalks:
