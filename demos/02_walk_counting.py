@@ -1,10 +1,13 @@
 """Three ways to count walks in a path graph, and why they must agree.
 
 Entry (x, y) of the k-th power of an adjacency matrix counts the walks of
-length k from x to y. The library computes that count three ways: a
-counting-vector recurrence, explicit enumeration of every walk, and the
-integer matrix power itself. Over GF(2) a fourth route keeps only the
-parity. They all tell the same story.
+length k from x to y. The library computes that count three ways: the
+method of images (a walk on the path is a walk on the integers that
+never touches 0 or n + 1, so the count is a signed sum of binomial
+coefficients),
+explicit enumeration of every walk, and the integer matrix power itself.
+Over GF(2) a fourth route keeps only the parity. They all tell the same
+story.
 """
 
 from nilpath import (
@@ -22,7 +25,7 @@ def main():
     for w in walks:
         print(f"   {w}")
     print(f"  enumerated:        {len(walks)}")
-    print(f"  counted by DP:     {count_walks_exact(n, x, y, k)}")
+    print(f"  counted by images: {count_walks_exact(n, x, y, k)}")
     power = integer_adjacency_power(n, k)
     print(f"  matrix power entry: {power[x - 1][y - 1]}")
     print(f"  parity:            {count_walks_parity(n, x, y, k)}")
@@ -42,7 +45,7 @@ def main():
     print("on the exponent cannot be lowered.")
     print()
 
-    print("Counts explode with k, the DP does not care:")
+    print("Counts explode with k; the image sum has about 2k/(n + 1) terms:")
     for k in (10, 50, 200):
         c = count_walks_exact(9, 5, 5, k)
         print(f"  length {k:3d}, P_9, 5 -> 5: {c}")

@@ -142,7 +142,7 @@ def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
             _value_row(
                 f"walks of length {k} from {x} to {y}",
                 count,
-                "counting-vector recurrence",
+                "method of images on the mirrored cycle",
             )
         )
         details.append(
@@ -279,19 +279,48 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     return ParityReport.from_details("involution-test", params, details)
 
 
+def _clean_count(n: int, pivot: int, v: int, length: int) -> int:
+    """Walks of this length from v that reach the pivot only at their end.
+
+    Read backwards, they leave the pivot and never return to it. Such a
+    walk stays on v's side of the pivot until its last step, so it is a
+    walk on that side segment, from v to the pivot's neighbour, one step
+    shorter.
+    """
+    if length == 0 or v == pivot:
+        return int(length == 0 and v == pivot)
+    if v < pivot:
+        return count_walks_exact(pivot - 1, v, pivot - 1, length - 1)
+    return count_walks_exact(n - pivot, v - pivot, 1, length - 1)
+
+
 def _cmd_census(args: argparse.Namespace) -> ParityReport:
     n, pivot, x, y, k = args.n, args.pivot, args.x, args.y, args.k
     census = class_census(n, pivot, x, y, k)
     total = count_walks_exact(n, x, y, k)
+    # class 2 again, from side-segment counts that share nothing with the census
+    c2 = sum(
+        _clean_count(n, pivot, x, i) * _clean_count(n, pivot, y, k - i)
+        for i in range(k + 1)
+    )
     params = {"n": n, "pivot": pivot, "x": x, "y": y, "k": k}
     details = [
         _value_row("class 1 (pivot never visited)", census.c1, "pivot-avoiding count"),
         _value_row("class 2 (pivot visited once)", census.c2, "prefix times suffix counts"),
-        _value_row("class 3 (pivot visited twice or more)", census.c3, "remainder"),
-        Detail("classes partition all walks", total, census.total, "exact total count"),
+        _value_row(
+            "class 3 (pivot visited twice or more)",
+            census.c3,
+            "first pivot visit times returning suffix counts",
+        ),
+        Detail(
+            "classes partition all walks",
+            total,
+            census.total,
+            "total by the method of images",
+        ),
         Detail(
             "per-offset class-2 counts sum to class 2",
-            census.c2,
+            c2,
             sum(census.per_step_c2),
             f"offsets 0..{k}",
         ),

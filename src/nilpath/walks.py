@@ -2,26 +2,27 @@
 
 The path graph on n vertices has vertex set 1..n and an edge between each
 pair of consecutive integers. Walk counts between two vertices are computed
-three independent ways across this package: a step-by-step counting vector
-(exact, arbitrary precision), Frobenius doubling of rule 90 on the
-mirrored 2(n + 1)-cycle (mod 2, one rotation pair per set bit of k), and
-powers of the adjacency matrix. Brute-force enumeration backs them all at
-small sizes.
+three independent ways across this package: the method of images on the
+mirrored 2(n + 1)-cycle (exact, two binomial class sums), Frobenius
+doubling of rule 90 on the same cycle (mod 2, one rotation pair per set
+bit of k), and powers of the adjacency matrix. Brute-force enumeration
+backs them all at small sizes.
 
 This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree, so one pass from a start vertex lists the
 walks of every length up to k, and every walk listing, with or without a
 fixed end vertex, picks its nodes from it.
-``_count_vectors`` is the single counting step, shared by the exact count
-and the three-class census of :mod:`nilpath.proofcheck`, which passes the
-vertex its walks must avoid. ``_check_args`` and ``_check_cap`` validate
+``_count_vectors`` is the single counting step; it serves only the
+three-class census of :mod:`nilpath.proofcheck`, which passes the vertex
+its walks must avoid. ``_check_args`` and ``_check_cap`` validate
 the walk arguments of the functions in both modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 from operator import add, sub
 from typing import Iterator
 
@@ -220,18 +221,47 @@ def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]
         yield counts
 
 
+def _class_sum(k: int, r: int, s: int) -> int:
+    """Sum of C(k, u) over 0 <= u <= k with u = r (mod s).
+
+    Starts at the least such u; each step u -> u + s multiplies by the
+    falling factorial (k - u)...(k - u - s + 1) and divides, exactly, by
+    (u + 1)...(u + s).
+    """
+    u = r % s
+    total = term = comb(k, u)
+    while u + s <= k:
+        term = term * prod(range(k - u - s + 1, k - u + 1)) // prod(
+            range(u + 1, u + s + 1)
+        )
+        u += s
+        total += term
+    return total
+
+
 def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     """Exact number of length-k walks from x to y, as a Python int.
 
-    Runs the counting vector forward k steps: the count at a vertex is the
-    sum of the counts at its neighbors one step earlier. Counts grow like
-    2^k, hence arbitrary precision. A length-0 walk exists exactly when
-    x = y.
+    The method of images: a walk on the path is a walk on the integers
+    that never touches the walls 0 and n + 1, and reflecting in the walls
+    repeats every target at period 2(n + 1). A length-k walk with u up
+    steps moves by 2u - k, so the count is zero when k + y - x is odd, and
+    otherwise the sum of C(k, u) over u = (k + y - x)/2 (mod n + 1) less
+    the sum over u = (k + y + x)/2 (mod n + 1), which by
+    C(k, u) = C(k, k - u) is the sum over the images of -y. A length-0
+    walk exists exactly when x = y.
+
+    Cost: about 2k/(n + 1) terms, each one multiply and one exact division
+    of a k-bit integer by a product of n + 1 factors; for k <= n each class
+    is the single term C(k, u). Stepping a counting vector costs k steps
+    over n cells instead, which is cheaper only for tiny n and huge k
+    (n <= 8 with k = 30000), where the divisions dominate.
     """
     _check_args(n, k, x=x, y=y)
-    for counts in _count_vectors(n, x, k):
-        pass
-    return counts[y]
+    if (k + y - x) % 2:
+        return 0
+    s = n + 1
+    return _class_sum(k, (k + y - x) // 2, s) - _class_sum(k, (k + y + x) // 2, s)
 
 
 def _parity_vector(n: int, x: int, k: int) -> int:

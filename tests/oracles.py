@@ -2,9 +2,9 @@
 
 Each function here recomputes something the library computes, by a route
 the library does not share: bit-at-a-time matrix products, recursive walk
-listing, a mod-2 counting vector stepped once per unit of length, a
-symbolic cofactor determinant, and a certificate replay that checks every
-visit offset of every length one at a time. Agreement between
+listing, integer and mod-2 counting vectors stepped once per unit of
+length, a symbolic cofactor determinant, and a certificate replay that
+checks every visit offset of every length one at a time. Agreement between
 the two routes is what the tests assert.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import add
 
 from nilpath.gf2 import GF2Matrix
 
@@ -55,6 +56,20 @@ def brute_force_walks(n: int, x: int, y: int, k: int) -> list[tuple[int, ...]]:
         grow([x])
     out.sort()
     return out
+
+
+def stepping_count(n: int, x: int, y: int, k: int) -> int:
+    """Exact length-k walk count from x to y, one step at a time.
+
+    The counting vector over the integers: the count at a vertex is the sum
+    of the counts at its neighbours a step earlier, with permanent zeros at
+    positions 0 and n + 1, so the cost is k steps over n cells.
+    """
+    counts = [0] * (n + 2)
+    counts[x] = 1
+    for _ in range(k):
+        counts = [0, *map(add, counts, counts[2:]), 0]
+    return counts[y]
 
 
 def stepping_parity(n: int, x: int, y: int, k: int) -> int:

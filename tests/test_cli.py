@@ -12,7 +12,8 @@ import pytest
 import nilpath
 from nilpath import cli
 from nilpath.cli import run
-from nilpath.walks import Walk, count_walks_exact
+from nilpath.proofcheck import ClassCensus, class_census
+from nilpath.walks import Walk
 
 
 def run_cli(capsys, *argv):
@@ -213,7 +214,7 @@ class TestWalkCount:
         )
         assert code == 0
         assert int_digit_limit() == limit
-        expected = count_walks_exact(3, 1, 1, 30000)
+        expected = 2**14999
         with no_int_digit_limit():
             digits = str(expected)
             assert len(digits) > 4300
@@ -348,6 +349,40 @@ class TestCensus:
         assert rows["class 3 (pivot visited twice or more)"]["observed"] == 12
         assert rows["classes partition all walks"]["expected"] == 28
         assert rows["classes partition all walks"]["observed"] == 28
+
+    def test_offset_sum_is_checked_against_an_independent_total(
+        self, capsys, monkeypatch
+    ):
+        def skewed(*args):
+            c = class_census(*args)
+            per_step = tuple(p + 1 for p in c.per_step_c2)
+            return ClassCensus(c.c1, sum(per_step), c.c3, per_step)
+
+        monkeypatch.setattr(cli, "class_census", skewed)
+        code, parsed, _ = run_json(
+            capsys,
+            "census", "--n", "7", "--pivot", "4", "--x", "3", "--y", "2", "--k", "7",
+        )
+        assert code == 1
+        row = {d["check"]: d for d in parsed["details"]}[
+            "per-offset class-2 counts sum to class 2"
+        ]
+        assert (row["expected"], row["observed"]) == (8, 16)
+
+    def test_offset_sum_row_agrees_with_the_census(self, capsys):
+        for n, pivot, x, y, k in [
+            (1, 1, 1, 1, 0), (1, 1, 1, 1, 4), (2, 1, 2, 2, 5), (7, 4, 4, 4, 6),
+            (7, 4, 1, 7, 9), (9, 3, 8, 2, 11), (15, 8, 8, 3, 15),
+        ]:
+            code, parsed, _ = run_json(
+                capsys, "census", "--n", str(n), "--pivot", str(pivot),
+                "--x", str(x), "--y", str(y), "--k", str(k),
+            )
+            assert code == 0
+            row = {d["check"]: d for d in parsed["details"]}[
+                "per-offset class-2 counts sum to class 2"
+            ]
+            assert row["expected"] == class_census(n, pivot, x, y, k).c2
 
 
 class TestNaiveDemo:

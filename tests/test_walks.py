@@ -1,7 +1,7 @@
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilpath.gf2 import mat_from_entries, mat_pow, zero
@@ -21,7 +21,24 @@ from nilpath.walks import (
     walk_is_valid,
 )
 
-from oracles import brute_force_walks, stepping_parity
+from oracles import brute_force_walks, stepping_count, stepping_parity
+
+
+@st.composite
+def exact_count_cases(draw):
+    """(n, x, y, k) with n <= 300 and k <= 3000, weighted towards the edge
+    cases of the image sum: n = 1, k = 0, k < |x - y| and k < n + 1 (one
+    term per class). Odd k + y - x comes up in about half the draws."""
+    n = draw(st.sampled_from([1]) | st.integers(1, 12) | st.integers(1, 300))
+    x = draw(st.integers(1, n))
+    y = draw(st.integers(1, n))
+    k = draw(
+        st.sampled_from([0])
+        | st.integers(0, max(abs(x - y) - 1, 0))
+        | st.integers(0, n)
+        | st.integers(0, 3000)
+    )
+    return n, x, y, k
 
 
 class TestPathSpec:
@@ -293,6 +310,18 @@ class TestCountWalksExact:
         y = data.draw(st.integers(1, n))
         if (k - abs(x - y)) % 2:
             assert count_walks_exact(n, x, y, k) == 0
+
+    @given(exact_count_cases())
+    @example((1, 1, 1, 0))
+    @example((1, 1, 1, 3000))
+    @example((300, 1, 300, 297))
+    @example((300, 300, 1, 299))
+    @example((7, 3, 2, 6))
+    @example((300, 150, 151, 299))
+    @example((2, 1, 2, 2999))
+    def test_matches_stepping_oracle(self, case):
+        n, x, y, k = case
+        assert count_walks_exact(n, x, y, k) == stepping_count(n, x, y, k)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
