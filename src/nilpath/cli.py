@@ -26,6 +26,7 @@ from .gf2 import mat_is_zero, mat_pow, nilpotency_index
 from .proofcheck import (
     ReflectionOutOfBounds,
     _reflect,
+    class2_by_sides,
     class_census,
     find_naive_failure,
     naive_pivot,
@@ -279,30 +280,10 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     return ParityReport.from_details("involution-test", params, details)
 
 
-def _clean_count(n: int, pivot: int, v: int, length: int) -> int:
-    """Walks of this length from v that reach the pivot only at their end.
-
-    Read backwards, they leave the pivot and never return to it. Such a
-    walk stays on v's side of the pivot until its last step, so it is a
-    walk on that side segment, from v to the pivot's neighbour, one step
-    shorter.
-    """
-    if length == 0 or v == pivot:
-        return int(length == 0 and v == pivot)
-    if v < pivot:
-        return count_walks_exact(pivot - 1, v, pivot - 1, length - 1)
-    return count_walks_exact(n - pivot, v - pivot, 1, length - 1)
-
-
 def _cmd_census(args: argparse.Namespace) -> ParityReport:
     n, pivot, x, y, k = args.n, args.pivot, args.x, args.y, args.k
     census = class_census(n, pivot, x, y, k)
     total = count_walks_exact(n, x, y, k)
-    # class 2 again, from side-segment counts that share nothing with the census
-    c2 = sum(
-        _clean_count(n, pivot, x, i) * _clean_count(n, pivot, y, k - i)
-        for i in range(k + 1)
-    )
     params = {"n": n, "pivot": pivot, "x": x, "y": y, "k": k}
     details = [
         _value_row("class 1 (pivot never visited)", census.c1, "pivot-avoiding count"),
@@ -320,7 +301,7 @@ def _cmd_census(args: argparse.Namespace) -> ParityReport:
         ),
         Detail(
             "per-offset class-2 counts sum to class 2",
-            c2,
+            class2_by_sides(n, pivot, x, y, k),
             sum(census.per_step_c2),
             f"offsets 0..{k}",
         ),

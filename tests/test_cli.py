@@ -373,6 +373,7 @@ class TestCensus:
         for n, pivot, x, y, k in [
             (1, 1, 1, 1, 0), (1, 1, 1, 1, 4), (2, 1, 2, 2, 5), (7, 4, 4, 4, 6),
             (7, 4, 1, 7, 9), (9, 3, 8, 2, 11), (15, 8, 8, 3, 15),
+            (9, 2, 1, 7, 2000),
         ]:
             code, parsed, _ = run_json(
                 capsys, "census", "--n", str(n), "--pivot", str(pivot),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nilpath.proofcheck import (
     ClassTag,
     ReflectionOutOfBounds,
+    class2_by_sides,
     class2_decompose,
     class_census,
     classify,
@@ -227,7 +228,10 @@ class TestClassCensus:
         def refuse(*args):
             raise AssertionError("class_census must not call count_walks_exact")
 
-        monkeypatch.setattr(nilpath.proofcheck, "count_walks_exact", refuse)
+        # proofcheck does not import it; the patch catches a call added later
+        monkeypatch.setattr(
+            nilpath.proofcheck, "count_walks_exact", refuse, raising=False
+        )
         for x in range(1, 8):
             for y in range(1, 8):
                 census = class_census(7, 4, x, y, 9)
@@ -247,12 +251,61 @@ class TestClassCensus:
             class_census(7, 4, 1, 1, -1)
 
 
+class TestClass2BySides:
+    def test_matches_the_census_for_every_pivot(self):
+        for n in range(1, 8):
+            for k in range(0, 12):
+                for pivot in range(1, n + 1):
+                    for x in range(1, n + 1):
+                        for y in range(1, n + 1):
+                            assert (
+                                class2_by_sides(n, pivot, x, y, k)
+                                == class_census(n, pivot, x, y, k).c2
+                            )
+
+    def test_end_segment_pivot_at_long_length_streams_once(self, monkeypatch):
+        import nilpath.proofcheck
+
+        def refuse(*args):
+            raise AssertionError("class2_by_sides must not call count_walks_exact")
+
+        # proofcheck does not import it; the patch catches a call added later
+        monkeypatch.setattr(
+            nilpath.proofcheck, "count_walks_exact", refuse, raising=False
+        )
+        # pivot next to an end: one side segment has a single vertex, the
+        # other n - 2, and k is far above n
+        for pivot, x, y in [(2, 1, 7), (2, 5, 1), (8, 9, 3)]:
+            assert (
+                class2_by_sides(9, pivot, x, y, 2000)
+                == class_census(9, pivot, x, y, 2000).c2
+            )
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            class2_by_sides(7, 8, 1, 1, 3)
+        with pytest.raises(ValueError):
+            class2_by_sides(7, 4, 1, 1, -1)
+
+
 class TestTheoremCheck:
     def test_single_vertex_base_case(self):
         report = theorem_check(1, 1, 1, 1)
         assert report.passed
         assert report.command == "theorem-check"
         assert len(report.details) == 2
+
+    def test_single_vertex_base_case_reads_only_the_parity(self, monkeypatch):
+        import nilpath.proofcheck
+
+        def refuse(*args):
+            raise AssertionError("the m = 1 row needs no exact count")
+
+        # proofcheck does not import it; the patch catches a call added later
+        monkeypatch.setattr(
+            nilpath.proofcheck, "count_walks_exact", refuse, raising=False
+        )
+        assert theorem_check(1, 100000, 1, 1).passed
 
     def test_figure_sized_case(self):
         report = theorem_check(3, 7, 3, 2)
