@@ -1,4 +1,4 @@
-"""Nilpotency of path-graph adjacency matrices over GF(2), two ways.
+"""Nilpotency of path-graph adjacency matrices over GF(2), three ways.
 
 The adjacency matrix A of the path on n = 2^m - 1 vertices satisfies
 A^n = 0 over GF(2), and no smaller power vanishes. This package verifies
@@ -7,91 +7,24 @@ re-derives it through the walk-counting argument it encodes
 (:mod:`nilpath.walks`, :mod:`nilpath.proofcheck`), and cross-checks it
 against the characteristic polynomial (:mod:`nilpath.charpoly`). The
 ``nilpath`` command line wraps each piece in a reporting harness.
+
+The package republishes the ``__all__`` of each library module, so a
+public name is declared once, in its own module.
 """
 
-from .charpoly import GF2Poly, charpoly_is_monomial, charpoly_path
-from .gf2 import (
-    GF2Matrix,
-    identity,
-    mat_from_entries,
-    mat_is_zero,
-    mat_mul,
-    mat_pow,
-    nilpotency_index,
-    zero,
-)
-from .proofcheck import (
-    Class2Split,
-    ClassCensus,
-    ClassTag,
-    ReflectionOutOfBounds,
-    WalkClass,
-    class2_decompose,
-    class_census,
-    classify,
-    find_naive_failure,
-    naive_pivot,
-    naive_reflect,
-    reflect_class3,
-    theorem_check,
-)
-from .report import Detail, ParityReport, render_csv, render_json, render_text
-from .walks import (
-    DEFAULT_ENUM_CAP,
-    EnumerationCapExceeded,
-    PathSpec,
-    Walk,
-    count_walks_exact,
-    count_walks_parity,
-    enumerate_walks,
-    integer_adjacency_power,
-    iter_walks_from,
-    path_adjacency,
-    walk_is_valid,
-)
+from .charpoly import *
+from .gf2 import *
+from .proofcheck import *
+from .report import *
+from .walks import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF2Matrix",
-    "identity",
-    "zero",
-    "mat_from_entries",
-    "mat_mul",
-    "mat_pow",
-    "mat_is_zero",
-    "nilpotency_index",
-    "PathSpec",
-    "Walk",
-    "DEFAULT_ENUM_CAP",
-    "EnumerationCapExceeded",
-    "path_adjacency",
-    "walk_is_valid",
-    "iter_walks_from",
-    "enumerate_walks",
-    "count_walks_exact",
-    "count_walks_parity",
-    "integer_adjacency_power",
-    "ClassTag",
-    "WalkClass",
-    "Class2Split",
-    "ClassCensus",
-    "ReflectionOutOfBounds",
-    "classify",
-    "class2_decompose",
-    "reflect_class3",
-    "class_census",
-    "theorem_check",
-    "naive_pivot",
-    "naive_reflect",
-    "find_naive_failure",
-    "GF2Poly",
-    "charpoly_path",
-    "charpoly_is_monomial",
-    "Detail",
-    "ParityReport",
-    "render_text",
-    "render_json",
-    "render_csv",
-    "__version__",
-]
+__all__ = (
+    gf2.__all__
+    + walks.__all__
+    + proofcheck.__all__
+    + charpoly.__all__
+    + report.__all__
+    + ["__version__"]
+)

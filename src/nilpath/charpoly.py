@@ -39,9 +39,11 @@ class GF2Poly:
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"
+        # one pass over the binary digits, highest degree first; a
+        # power-of-two base is exempt from the int/str digit limit
         terms = []
-        for d in range(self.degree, -1, -1):
-            if self.bits >> d & 1:
+        for d, digit in zip(range(self.degree, -1, -1), format(self.bits, "b")):
+            if digit == "1":
                 if d == 0:
                     terms.append("1")
                 elif d == 1:

@@ -433,19 +433,18 @@ def naive_pivot(walk: Walk) -> int | None:
     """The repeated vertex with the highest power of 2 in its factorization.
 
     Among vertices visited at least twice, picks those whose 2-exponent is
-    maximal, then the one whose second visit comes first (a total order
-    already, since positions are distinct across vertices) with the first
-    visit as a formal tie-break. None when no vertex repeats.
+    maximal, then the one whose second visit comes first. None when no
+    vertex repeats.
     """
-    positions: dict[int, list[int]] = {}
-    for t, v in enumerate(walk.vertices):
-        positions.setdefault(v, []).append(t)
-    repeated = {v: ps for v, ps in positions.items() if len(ps) >= 2}
-    if not repeated:
-        return None
-    best_exp = max(_two_exponent(v) for v in repeated)
-    candidates = [v for v in repeated if _two_exponent(v) == best_exp]
-    return min(candidates, key=lambda v: (repeated[v][1], repeated[v][0]))
+    seen: set[int] = set()
+    # keys in second-visit order, so max keeps the earliest maximal vertex
+    repeated: dict[int, None] = {}
+    for v in walk.vertices:
+        if v in seen:
+            repeated[v] = None
+        else:
+            seen.add(v)
+    return max(repeated, key=_two_exponent, default=None)
 
 
 def _two_exponent(v: int) -> int:

@@ -12,11 +12,11 @@ This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree, so one pass from a start vertex lists the
 walks of every length up to k, and every walk listing, with or without a
-fixed end vertex, picks its nodes from it.
-``_count_vectors`` is the single counting step; it serves only
-:mod:`nilpath.proofcheck`: the three-class census, which passes the
-vertex its walks must avoid, and the class-2 count from side segments. ``_check_args`` and ``_check_cap`` validate
-the walk arguments of the functions in both modules.
+fixed end vertex, picks its nodes from it. ``_count_vectors`` is the
+single counting step; it serves only :mod:`nilpath.proofcheck`: the
+three-class census, which passes the vertex its walks must avoid, and the
+class-2 count from side segments. ``_check_args`` and ``_check_cap``
+validate the walk arguments of the functions in both modules.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ import nilpath
 from nilpath import cli
 from nilpath.cli import run
 from nilpath.proofcheck import ClassCensus, class_census
-from nilpath.walks import Walk
+from nilpath.report import Detail, ParityReport
+from nilpath.walks import Walk, iter_walks_from
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +204,17 @@ class TestWalkCount:
         )
         assert code == 2
 
+    def test_renders_where_the_interpreter_has_no_digit_limit(
+        self, capsys, monkeypatch
+    ):
+        # before 3.10.7 the sys module has no int/str digit limit to lift
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        code, parsed, _ = run_json(
+            capsys, "walk-count", "--n", "7", "--x", "3", "--y", "2", "--k", "7"
+        )
+        assert code == 0
+        assert parsed["details"][0]["observed"] == 28
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_count_beyond_int_digit_limit_renders_in_full(self, capsys, fmt):
         # 2^14999 walks: 4516 digits, past the 4300-digit default limit
@@ -262,6 +274,13 @@ class TestVerifyLemma:
         assert provenance[0] == "25 endpoint pairs, 5 walks listed"
         assert provenance[7] == "25 endpoint pairs, 216 walks listed"
 
+    def test_a_wrong_count_is_a_mismatch_in_every_pair(self, capsys, monkeypatch):
+        real = cli.count_walks_exact
+        monkeypatch.setattr(cli, "count_walks_exact", lambda *args: real(*args) + 1)
+        code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "3", "--max-k", "2")
+        assert code == 1
+        assert [d["observed"] for d in parsed["details"]] == ["9 mismatches"] * 3
+
 
 class TestVerifyTheorem:
     def test_single_case(self, capsys):
@@ -294,6 +313,21 @@ class TestVerifyTheorem:
         assert len(parsed["details"]) == 20  # 4 values of m, 5 lengths each
         assert all(d["observed"].startswith("0 failures") for d in parsed["details"])
 
+    def test_full_sweep_lists_the_first_failing_pairs(self, capsys, monkeypatch):
+        def odd_into_vertex_one(m, k, x, y):
+            observed = "odd" if y == 1 else "even"
+            return ParityReport.from_details(
+                "theorem-check", {}, [Detail("parity", "even", observed, "")]
+            )
+
+        monkeypatch.setattr(cli, "theorem_check", odd_into_vertex_one)
+        code, parsed, _ = run_json(capsys, "verify-theorem", "--all")
+        assert code == 1
+        observed = [d["observed"] for d in parsed["details"]]
+        assert observed[0] == "1 failures at [(1, 1)]"
+        assert observed[5] == "3 failures at [(1, 1), (2, 1), (3, 1)]"
+        assert observed[10] == "7 failures at [(1, 1), (2, 1), (3, 1)]"
+
 
 class TestInvolutionTest:
     def test_seven_path_sweep(self, capsys):
@@ -316,6 +350,55 @@ class TestInvolutionTest:
         assert code == 1
         assert rows["image is a valid walk"] == rows["class-3 walks tested"] > 0
         assert "Traceback" not in err
+
+    @staticmethod
+    def _rows_with_reflection(capsys, monkeypatch, reflect):
+        monkeypatch.setattr(cli, "_reflect", reflect)
+        code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
+        assert code == 1
+        return {d["check"]: d["observed"] for d in parsed["details"]}
+
+    def test_identity_map_is_all_fixed_points(self, capsys, monkeypatch):
+        rows = self._rows_with_reflection(
+            capsys, monkeypatch, lambda n, walk, pivot: walk
+        )
+        assert rows["no fixed points"] == rows["class-3 walks tested"] > 0
+        assert rows["image preserves start, end, length, class"] == 0
+        assert rows["applying twice restores the walk"] == 0
+
+    def test_mirroring_the_whole_tail_moves_the_end(self, capsys, monkeypatch):
+        def mirror_tail(n, walk, pivot):
+            vs = walk.vertices
+            first = vs.index(pivot)
+            return Walk(vs[: first + 1] + tuple(2 * pivot - v for v in vs[first + 1 :]))
+
+        rows = self._rows_with_reflection(capsys, monkeypatch, mirror_tail)
+        moved = sum(
+            1
+            for length in range(7)
+            for start in range(1, 8)
+            for w in iter_walks_from(7, start, length)
+            if w.vertices.count(4) >= 2 and w.end != 4
+        )
+        assert rows["image preserves start, end, length, class"] == moved > 0
+        assert rows["no fixed points"] == 0
+        assert rows["applying twice restores the walk"] == 0
+
+    def test_a_one_way_mirror_is_not_an_involution(self, capsys, monkeypatch):
+        real = cli._reflect
+
+        def upward_loops_only(n, walk, pivot):
+            vs = walk.vertices
+            if vs[vs.index(pivot) + 1] > pivot:
+                return real(n, walk, pivot)
+            return walk
+
+        rows = self._rows_with_reflection(capsys, monkeypatch, upward_loops_only)
+        # the real reflection pairs upward loops with downward ones
+        tested = rows["class-3 walks tested"]
+        assert rows["applying twice restores the walk"] == tested // 2 > 0
+        assert rows["no fixed points"] == tested // 2
+        assert rows["image preserves start, end, length, class"] == 0
 
     def test_cap_guard(self, capsys):
         assert run_cli(capsys, "involution-test", "--m", "3", "--k", "99")[0] == 2
@@ -399,6 +482,16 @@ class TestNaiveDemo:
         assert code == 1
         assert parsed["verdict"] == "fail"
 
+    def test_a_reflection_that_stays_in_bounds_fails_the_demo(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "reflect_class3", lambda n, walk, pivot: walk)
+        code, parsed, _ = run_json(capsys, "naive-demo", "--n", "7", "--k", "7")
+        rows = {d["check"]: d["observed"] for d in parsed["details"]}
+        assert code == 1
+        assert rows["reflecting at the naive pivot"] == "stayed in bounds"
+        assert "escape detail" not in rows
+
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("NILPATH_ENUM_CAP", "3")
         code, _, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
@@ -410,6 +503,12 @@ class TestNaiveDemo:
         code, _, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
         assert code == 2
         assert "NILPATH_ENUM_CAP" in err
+
+    def test_env_cap_must_be_non_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("NILPATH_ENUM_CAP", "-1")
+        code, out, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
+        assert (code, out) == (2, "")
+        assert "NILPATH_ENUM_CAP must be non-negative, got -1" in err
 
 
 class TestCharpolyCommand:

@@ -102,6 +102,9 @@ class TestGF2Matrix:
         assert m.bit(1, 2) == 1 and m.bit(1, 1) == 0
         assert m.bit(2, 1) == 1
         assert m.bit(3, 3) == 1
+        for i, j in ((0, 1), (1, 0), (4, 1), (1, 4)):
+            with pytest.raises(IndexError):
+                m.bit(i, j)
 
     def test_to_lists_round_trip(self):
         m = path_adjacency(5)

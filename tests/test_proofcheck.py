@@ -515,6 +515,8 @@ class TestFindNaiveFailure:
 
     def test_no_failure_at_small_length(self):
         assert find_naive_failure(3, 3) is None
+        # no walk of length 1 repeats a vertex, so none has a naive pivot
+        assert find_naive_failure(5, 1) is None
 
     def test_midpoint_pivot_walks_never_fail_at_length_four(self):
         for w in walks_of_length(7, 4):

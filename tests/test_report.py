@@ -64,6 +64,17 @@ class TestRenderers:
         assert parsed["parameters"] == {"n": 7, "flag": True}
         assert len(parsed["details"]) == 3
 
+    def test_json_renders_other_values_as_text(self):
+        report = ParityReport.from_details(
+            "demo", {}, [Detail("pair", (1, 2), (1, 2), "")]
+        )
+        row = json.loads(render_json(report))["details"][0]
+        assert row["expected"] == row["observed"] == "(1, 2)"
+
+    def test_text_marks_missing_parameters(self):
+        report = ParityReport.from_details("demo", {}, [Detail("a", 1, 1, "")])
+        assert "parameters: (none)" in render_text(report)
+
     def test_csv_shape(self):
         rows = list(csv.reader(io.StringIO(render_csv(sample_report()))))
         assert rows[0] == ["check", "expected", "observed", "provenance"]
