@@ -4,7 +4,7 @@ Every subcommand runs one verification (or one measurement) and prints a
 single report: a table by default, or one JSON object / CSV detail rows
 with ``--format``. Exit status is 0 when every report row matches its
 expectation, 1 when some row does not, and 2 for usage errors such as
-malformed integers or a theorem query below its length bound.
+malformed integers or a theorem query outside its length bounds.
 
 The walk-enumerating commands refuse lengths above a cap (default
 ``DEFAULT_ENUM_CAP``) because their work grows exponentially; set the
@@ -50,6 +50,11 @@ from .walks import (
 __all__ = ["run", "console_main"]
 
 _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
+
+# verify-theorem for m >= 2 streams three bit masks of n + 2 bits for k
+# steps and keeps a few bits per step; longer walks are refused up front.
+# The m = 1 base case reads one parity by doubling, so it has no bound.
+_THEOREM_MAX_K = 2**17
 
 
 class _UsageError(Exception):
@@ -229,6 +234,10 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
     if missing:
         raise _UsageError(
             f"verify-theorem needs {' '.join(missing)} (or --all)"
+        )
+    if args.m >= 2 and args.k > _THEOREM_MAX_K:
+        raise _UsageError(
+            f"--k {args.k} exceeds the limit {_THEOREM_MAX_K} for --m >= 2"
         )
     return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
 

@@ -7,15 +7,17 @@ or at least twice (class 3). Class 1 lives inside one half-path, class 2
 factors into two half-path subwalks around the single visit, and class 3
 is paired off by reflecting the segment between the first two visits. This
 module makes every step of that argument runnable and checkable: the
-classifier, the class-2 splitter, the class-3 reflection, an exact census
-of the three classes, a recursive certificate builder, and the tempting
-but broken variant of the reflection that picks its pivot by divisibility.
+classifier, the class-2 splitter, the class-3 reflection, an exact and a
+mod-2 census of the three classes, a recursive certificate builder, and
+the tempting but broken variant of the reflection that picks its pivot by
+divisibility.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import and_, xor
 
 from .report import Detail, ParityReport
 from .walks import (
@@ -25,6 +27,7 @@ from .walks import (
     _check_args,
     _check_cap,
     _count_vectors,
+    _parity_vectors,
     count_walks_parity,
     iter_walks_from,
     walk_is_valid,
@@ -209,6 +212,37 @@ def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
     return ClassCensus(c1, sum(per_step), c3, per_step)
 
 
+def _parity_census(
+    n: int, pivot: int, x: int, y: int, k: int
+) -> tuple[int, tuple[int, ...], int]:
+    """``class_census`` mod 2: the parities of c1, of each c2 offset and of c3.
+
+    The same split at the first pivot visit, read from the bit masks of
+    ``_parity_vectors`` instead of counting vectors: a product is odd when
+    both factors are, and a sum has the parity of its odd terms. c3 comes
+    from the returning stream, not from the parity of the total, so it
+    stays independent of the mod-2 walk count. Arguments are not checked.
+    """
+    arrivals = [int(x == pivot)]
+    departures = [int(y == pivot)]
+    returns = []
+    steps = zip(
+        _parity_vectors(n, x, k, pivot),
+        _parity_vectors(n, y, k, pivot),
+        _parity_vectors(n, y, k),
+    )
+    for fwd, bwd, full in steps:
+        arrivals.append((fwd >> (pivot - 1) ^ fwd >> (pivot + 1)) & 1)
+        departures.append((bwd >> (pivot - 1) ^ bwd >> (pivot + 1)) & 1)
+        returns.append(full >> pivot & 1)
+    c1 = fwd >> y & 1  # the step-k mask
+    # entry i pairs arrivals[i] with departures[k - i] and returns[k - i]
+    departures = departures[k::-1]
+    per_step = tuple(map(and_, arrivals, departures))
+    c3 = sum(map(and_, arrivals, map(xor, returns[::-1], departures))) & 1
+    return c1, per_step, c3
+
+
 def _half_vertex(v: int, pivot: int) -> int:
     """Map a non-pivot vertex to its coordinate inside its half-path."""
     return v if v < pivot else v - pivot
@@ -363,9 +397,10 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
 
     Requires n = 2^m - 1 vertices and k >= n. Builds the recursive
     per-class certificate, measures each class's actual parity with the
-    exact census, and cross-checks the total against the mod-2 count by
-    Frobenius doubling. The report carries one row per class plus the
-    cross-check.
+    mod-2 census (three bit-mask streams of k steps each, so the cost is
+    O(k * n / w) for machine words of w bits), and cross-checks the total
+    against the mod-2 count by Frobenius doubling. The report carries one
+    row per class plus the cross-check.
     """
     n = PathSpec.from_m(m).n
     if k < n:
@@ -387,16 +422,16 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
         pivot = 2 ** (m - 1)
         _replay_even(m, k, x, y, {})
         class1_note, class2_note = _certificate_notes(m, k, x, y)
-        census = class_census(n, pivot, x, y, k)
+        c1, per_step_c2, c3 = _parity_census(n, pivot, x, y, k)
         details.append(
             Detail(
                 "class 1: walks avoiding the midpoint",
                 "even",
-                _parity_word(census.c1),
+                _parity_word(c1),
                 class1_note,
             )
         )
-        odd_offsets = [i for i, c in enumerate(census.per_step_c2) if c % 2]
+        odd_offsets = [i for i, c in enumerate(per_step_c2) if c]
         details.append(
             Detail(
                 "class 2: single midpoint visit, every visit offset",
@@ -409,7 +444,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             Detail(
                 "class 3: two or more midpoint visits",
                 "even",
-                _parity_word(census.c3),
+                _parity_word(c3),
                 "paired by reflecting between the first two midpoint visits; "
                 "the exact midpoint keeps every reflection inside 1..n",
             )

@@ -12,11 +12,13 @@ This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree, so one pass from a start vertex lists the
 walks of every length up to k, and every walk listing, with or without a
-fixed end vertex, picks its nodes from it. ``_count_vectors`` is the
-single counting step; it serves only :mod:`nilpath.proofcheck`: the
-three-class census, which passes the vertex its walks must avoid, and the
-class-2 count from side segments. ``_check_args`` and ``_check_cap``
-validate the walk arguments of the functions in both modules.
+fixed end vertex, picks its nodes from it. The two counting steps serve
+only :mod:`nilpath.proofcheck`. ``_count_vectors`` is the single exact
+step, behind the exact three-class census, which passes the vertex its
+walks must avoid, and the class-2 count from side segments.
+``_parity_vectors`` is the same step mod 2, behind the class parities of
+``theorem_check``. ``_check_args`` and ``_check_cap`` validate the walk
+arguments of the functions in both modules.
 """
 
 from __future__ import annotations
@@ -219,6 +221,22 @@ def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]
         counts = [0, *map(add, counts, counts[2:]), 0]
         counts[avoid] = 0
         yield counts
+
+
+def _parity_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[int]:
+    """``_count_vectors`` mod 2: yield one bit mask for each of steps 0..k.
+
+    Bit v of the mask after t steps is the parity of the number of length-t
+    walks from x to v that never touch ``avoid``. Bits 0 and n + 1 are the
+    sentinels and, like the avoid bit, are cleared after every step, so one
+    step is two shifts, an XOR and a mask of an (n + 2)-bit integer.
+    """
+    keep = ((1 << (n + 1)) - 2) & ~(1 << avoid)
+    mask = 1 << x & keep
+    yield mask
+    for _ in range(k):
+        mask = (mask << 1 ^ mask >> 1) & keep
+        yield mask
 
 
 def _class_sum(k: int, r: int, s: int) -> int:

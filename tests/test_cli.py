@@ -303,6 +303,36 @@ class TestVerifyTheorem:
         assert code == 2
         assert "--x" in err
 
+    def test_huge_length_is_refused_before_the_census(self, capsys, monkeypatch):
+        import nilpath.proofcheck
+
+        class CensusStarted(Exception):
+            pass
+
+        def refuse(*args):
+            raise CensusStarted
+
+        monkeypatch.setattr(nilpath.proofcheck, "_parity_census", refuse)
+        point = ["--x", "1", "--y", "1"]
+        code, out, err = run_cli(
+            capsys, "verify-theorem", "--m", "3", "--k", "10000000", *point
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "--k 10000000" in err and str(cli._THEOREM_MAX_K) in err
+        # the limit itself still reaches the census
+        with pytest.raises(CensusStarted):
+            run(["verify-theorem", "--m", "3", "--k", str(cli._THEOREM_MAX_K), *point])
+
+    def test_single_vertex_has_no_length_limit(self, capsys):
+        point = ["--x", "1", "--y", "1"]
+        code, parsed, _ = run_json(
+            capsys, "verify-theorem", "--m", "1", "--k", str(10**12), *point
+        )
+        assert code == 0
+        assert parsed["verdict"] == "pass"
+
     def test_all_flag_conflicts_with_point_query(self, capsys):
         code, _, _ = run_cli(capsys, "verify-theorem", "--all", "--m", "2")
         assert code == 2

@@ -16,6 +16,7 @@ from nilpath.proofcheck import (
     naive_pivot,
     naive_reflect,
     reflect_class3,
+    _parity_census,
     _replay_even,
     theorem_check,
 )
@@ -251,6 +252,28 @@ class TestClassCensus:
             class_census(7, 4, 1, 1, -1)
 
 
+class TestParityCensus:
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=150)
+    def test_is_the_exact_census_mod_2(self, n, data):
+        # off-centre pivots included: there the classes can be odd
+        pivot = data.draw(st.integers(1, n))
+        x = data.draw(st.integers(1, n))
+        y = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(0, 2 * n + 3))
+        census = class_census(n, pivot, x, y, k)
+        c1, per_step_c2, c3 = _parity_census(n, pivot, x, y, k)
+        assert c1 == census.c1 % 2
+        assert per_step_c2 == tuple(c % 2 for c in census.per_step_c2)
+        assert c3 == census.c3 % 2
+
+    def test_odd_classes_off_centre(self):
+        # 1-2-3, pivot 1: the walks 2-1-2 (class 2) and 2-3-2 (class 1)
+        assert _parity_census(3, 1, 2, 2, 2) == (1, (0, 1, 0), 0)
+        # 1-2, pivot 1, length 2 from 1 to 1: the single walk 1-2-1 is class 3
+        assert _parity_census(2, 1, 1, 1, 2) == (0, (0, 0, 0), 1)
+
+
 class TestClass2BySides:
     def test_matches_the_census_for_every_pivot(self):
         for n in range(1, 8):
@@ -351,6 +374,24 @@ class TestTheoremCheck:
 
     def test_large_length_far_above_bound(self):
         assert theorem_check(3, 40, 2, 6).passed
+
+    def test_never_calls_the_exact_census(self, monkeypatch):
+        import nilpath.proofcheck
+
+        def refuse(*args):
+            raise AssertionError("theorem_check needs only class parities")
+
+        monkeypatch.setattr(nilpath.proofcheck, "class_census", refuse)
+        for m in range(1, 5):
+            n = 2**m - 1
+            for k in range(n, n + 5):
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        assert theorem_check(m, k, x, y).passed
+
+    def test_frontier_m14(self):
+        n = 2**14 - 1
+        assert theorem_check(14, n, n // 3, n // 5).passed
 
     @given(st.integers(1, 5), st.integers(0, 30), st.data())
     @settings(max_examples=60)
