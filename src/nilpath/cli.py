@@ -1,10 +1,10 @@
 """Command-line front end for the nilpotency and walk-parity checks.
 
-Every subcommand runs one verification (or one measurement) and prints a
-single report: a table by default, or one JSON object / CSV detail rows
-with ``--format``. Exit status is 0 when every report row matches its
-expectation, 1 when some row does not, and 2 for usage errors such as
-malformed integers or a theorem query outside its length bounds.
+Every subcommand runs one verification and prints a single report: a
+table by default, or one JSON object / CSV detail rows with ``--format``.
+Exit status is 0 when every report row matches its expectation, 1 when
+some row does not, and 2 for usage errors such as malformed integers or
+an input above a command's size limit, refused before any work starts.
 
 The walk-enumerating commands refuse lengths above a cap (default
 ``DEFAULT_ENUM_CAP``) because their work grows exponentially; set the
@@ -22,7 +22,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .charpoly import charpoly_path
-from .gf2 import mat_is_zero, mat_pow, nilpotency_index
+from .gf2 import nilpotency_index
 from .proofcheck import (
     ReflectionOutOfBounds,
     _reflect,
@@ -51,10 +51,14 @@ __all__ = ["run", "console_main"]
 
 _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
-# verify-theorem for m >= 2 streams three bit masks of n + 2 bits for k
-# steps and keeps a few bits per step; longer walks are refused up front.
-# The m = 1 base case reads one parity by doubling, so it has no bound.
-_THEOREM_MAX_K = 2**17
+# verify-theorem reads about 2^(m-1) visit offsets, whatever --k is, and
+# takes about a third of a second at the limit.
+_THEOREM_MAX_M = 20
+
+# census keeps k + 1 exact counts of up to k bits per stream and prints the
+# per-offset counts in decimal; n = 1023 with k = 4096 takes about 2 s.
+_CENSUS_MAX_N = 1024
+_CENSUS_MAX_K = 4096
 
 
 class _UsageError(Exception):
@@ -85,6 +89,11 @@ def _enum_length(flag: str, k: int) -> int:
             "(override with NILPATH_ENUM_CAP)"
         )
     return cap
+
+
+def _at_most(flag: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise _UsageError(f"{flag} {value} exceeds the limit {limit}")
 
 
 def _value_row(check: str, value: object, provenance: str) -> Detail:
@@ -235,10 +244,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
         raise _UsageError(
             f"verify-theorem needs {' '.join(missing)} (or --all)"
         )
-    if args.m >= 2 and args.k > _THEOREM_MAX_K:
-        raise _UsageError(
-            f"--k {args.k} exceeds the limit {_THEOREM_MAX_K} for --m >= 2"
-        )
+    _at_most("--m", args.m, _THEOREM_MAX_M)
     return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
 
 
@@ -291,6 +297,8 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_census(args: argparse.Namespace) -> ParityReport:
     n, pivot, x, y, k = args.n, args.pivot, args.x, args.y, args.k
+    _at_most("--n", n, _CENSUS_MAX_N)
+    _at_most("--k", k, _CENSUS_MAX_K)
     census = class_census(n, pivot, x, y, k)
     total = count_walks_exact(n, x, y, k)
     params = {"n": n, "pivot": pivot, "x": x, "y": y, "k": k}
@@ -384,27 +392,6 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
             )
         )
     return ParityReport.from_details("charpoly", params, details)
-
-
-def _cmd_bench(args: argparse.Namespace) -> ParityReport:
-    if args.max_m < 1:
-        raise _UsageError(f"--max-m must be at least 1, got {args.max_m}")
-    details = []
-    for m in range(1, args.max_m + 1):
-        n = 2**m - 1
-        a = path_adjacency(n)
-        t0 = time.perf_counter()
-        power = mat_pow(a, n)
-        ms = (time.perf_counter() - t0) * 1000.0
-        details.append(
-            Detail(
-                f"m = {m:2d}: A^{n} at n = {n}",
-                "zero matrix",
-                "zero matrix" if mat_is_zero(power) else "nonzero matrix",
-                f"{ms:.1f} ms wall time",
-            )
-        )
-    return ParityReport.from_details("bench", {"max_m": args.max_m}, details)
 
 
 @functools.cache
@@ -520,14 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--check-monomial", action="store_true")
     p.set_defaults(handler=_cmd_charpoly)
-
-    p = sub.add_parser(
-        "bench",
-        parents=[fmt],
-        help="time mat_pow(A, n) for m = 1..max-m and assert the zero result",
-    )
-    p.add_argument("--max-m", type=int, default=12)
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

@@ -7,17 +7,17 @@ or at least twice (class 3). Class 1 lives inside one half-path, class 2
 factors into two half-path subwalks around the single visit, and class 3
 is paired off by reflecting the segment between the first two visits. This
 module makes every step of that argument runnable and checkable: the
-classifier, the class-2 splitter, the class-3 reflection, an exact and a
-mod-2 census of the three classes, a recursive certificate builder, and
-the tempting but broken variant of the reflection that picks its pivot by
-divisibility.
+classifier, the class-2 splitter, the class-3 reflection, an exact census
+of the three classes for any pivot, their parities at the midpoint in
+closed form, a recursive certificate builder, and the tempting but broken
+variant of the reflection that picks its pivot by divisibility.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
-from operator import and_, xor
 
 from .report import Detail, ParityReport
 from .walks import (
@@ -27,7 +27,7 @@ from .walks import (
     _check_args,
     _check_cap,
     _count_vectors,
-    _parity_vectors,
+    _family_parity,
     count_walks_parity,
     iter_walks_from,
     walk_is_valid,
@@ -212,37 +212,6 @@ def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
     return ClassCensus(c1, sum(per_step), c3, per_step)
 
 
-def _parity_census(
-    n: int, pivot: int, x: int, y: int, k: int
-) -> tuple[int, tuple[int, ...], int]:
-    """``class_census`` mod 2: the parities of c1, of each c2 offset and of c3.
-
-    The same split at the first pivot visit, read from the bit masks of
-    ``_parity_vectors`` instead of counting vectors: a product is odd when
-    both factors are, and a sum has the parity of its odd terms. c3 comes
-    from the returning stream, not from the parity of the total, so it
-    stays independent of the mod-2 walk count. Arguments are not checked.
-    """
-    arrivals = [int(x == pivot)]
-    departures = [int(y == pivot)]
-    returns = []
-    steps = zip(
-        _parity_vectors(n, x, k, pivot),
-        _parity_vectors(n, y, k, pivot),
-        _parity_vectors(n, y, k),
-    )
-    for fwd, bwd, full in steps:
-        arrivals.append((fwd >> (pivot - 1) ^ fwd >> (pivot + 1)) & 1)
-        departures.append((bwd >> (pivot - 1) ^ bwd >> (pivot + 1)) & 1)
-        returns.append(full >> pivot & 1)
-    c1 = fwd >> y & 1  # the step-k mask
-    # entry i pairs arrivals[i] with departures[k - i] and returns[k - i]
-    departures = departures[k::-1]
-    per_step = tuple(map(and_, arrivals, departures))
-    c3 = sum(map(and_, arrivals, map(xor, returns[::-1], departures))) & 1
-    return c1, per_step, c3
-
-
 def _half_vertex(v: int, pivot: int) -> int:
     """Map a non-pivot vertex to its coordinate inside its half-path."""
     return v if v < pivot else v - pivot
@@ -283,6 +252,45 @@ def class2_by_sides(n: int, pivot: int, x: int, y: int, k: int) -> int:
     prefixes = _clean_counts(n, pivot, x, k)
     suffixes = _clean_counts(n, pivot, y, k)
     return sum(a * b for a, b in zip(prefixes, reversed(suffixes)))
+
+
+def _family_census(m: int, x: int, y: int, k: int) -> tuple[int, list[int], int]:
+    """``class_census`` mod 2 at the midpoint of the 2^m - 1 path, for m >= 2.
+
+    Returns the parity of c1, the visit offsets whose class-2 count is
+    odd, and the parity of c3. The split at the first midpoint visit is the
+    one of ``class_census``, and every factor is a walk count on a family
+    path, whose parity ``_family_parity`` gives in closed form: c1 and the
+    clean arrivals and departures live on the side segments of 2^(m-1) - 1
+    vertices, and the returning suffixes on the whole path. An arrival at
+    offset i >= 1 is a side walk of length i - 1. Those are even from
+    length 2^(m-1) - 1 on: at that length both submask tests pass and
+    cancel, and beyond it the length has a bit at or above 2^(m-1). So only
+    offsets below the midpoint 2^(m-1) are read, and the cost does not
+    grow with k. Arguments are not checked.
+    """
+    p = 2 ** (m - 1)
+
+    def clean(v: int) -> Callable[[int], int]:
+        # length -> parity of the walks from v whose only pivot visit ends them
+        if v == p:
+            return lambda length: int(length == 0)
+        hv, end = _half_vertex(v, p), _half_vertex(_pivot_neighbor(v, p), p)
+        return lambda length: length and _family_parity(m - 1, hv, end, length - 1)
+
+    c1 = 0
+    if x != p and y != p and (x < p) == (y < p):
+        c1 = _family_parity(m - 1, _half_vertex(x, p), _half_vertex(y, p), k)
+    arrival, departure = clean(x), clean(y)
+    odd_offsets = []
+    c3 = 0
+    for i in range(min(k + 1, p)):
+        if arrival(i):
+            suffix = departure(k - i)
+            if suffix:
+                odd_offsets.append(i)
+            c3 ^= _family_parity(m, p, y, k - i) ^ suffix
+    return c1, odd_offsets, c3
 
 
 def _replay_even(
@@ -397,10 +405,10 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
 
     Requires n = 2^m - 1 vertices and k >= n. Builds the recursive
     per-class certificate, measures each class's actual parity with the
-    mod-2 census (three bit-mask streams of k steps each, so the cost is
-    O(k * n / w) for machine words of w bits), and cross-checks the total
-    against the mod-2 count by Frobenius doubling. The report carries one
-    row per class plus the cross-check.
+    closed-form census (two submask tests per factor at each visit offset
+    below the midpoint, so O(2^(m-1)) tests whatever k is), and
+    cross-checks the total against the mod-2 count by Frobenius doubling.
+    The report carries one row per class plus the cross-check.
     """
     n = PathSpec.from_m(m).n
     if k < n:
@@ -419,10 +427,9 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             )
         )
     else:
-        pivot = 2 ** (m - 1)
         _replay_even(m, k, x, y, {})
         class1_note, class2_note = _certificate_notes(m, k, x, y)
-        c1, per_step_c2, c3 = _parity_census(n, pivot, x, y, k)
+        c1, odd_offsets, c3 = _family_census(m, x, y, k)
         details.append(
             Detail(
                 "class 1: walks avoiding the midpoint",
@@ -431,7 +438,6 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
                 class1_note,
             )
         )
-        odd_offsets = [i for i, c in enumerate(per_step_c2) if c]
         details.append(
             Detail(
                 "class 2: single midpoint visit, every visit offset",

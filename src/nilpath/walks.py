@@ -12,13 +12,14 @@ This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree, so one pass from a start vertex lists the
 walks of every length up to k, and every walk listing, with or without a
-fixed end vertex, picks its nodes from it. The two counting steps serve
-only :mod:`nilpath.proofcheck`. ``_count_vectors`` is the single exact
+fixed end vertex, picks its nodes from it. Two helpers serve only
+:mod:`nilpath.proofcheck`. ``_count_vectors`` is the single counting
 step, behind the exact three-class census, which passes the vertex its
 walks must avoid, and the class-2 count from side segments.
-``_parity_vectors`` is the same step mod 2, behind the class parities of
-``theorem_check``. ``_check_args`` and ``_check_cap`` validate the walk
-arguments of the functions in both modules.
+``_family_parity`` is the image sum read mod 2 in closed form on paths of
+2^q - 1 vertices, behind the class parities of ``theorem_check``.
+``_check_args`` and ``_check_cap`` validate the walk arguments of the
+functions in both modules.
 """
 
 from __future__ import annotations
@@ -223,20 +224,24 @@ def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]
         yield counts
 
 
-def _parity_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[int]:
-    """``_count_vectors`` mod 2: yield one bit mask for each of steps 0..k.
+def _family_parity(q: int, a: int, b: int, t: int) -> int:
+    """Parity of the length-t walk count from a to b on the 2^q - 1 path.
 
-    Bit v of the mask after t steps is the parity of the number of length-t
-    walks from x to v that never touch ``avoid``. Bits 0 and n + 1 are the
-    sentinels and, like the avoid bit, are cleared after every step, so one
-    step is two shifts, an XOR and a mask of an (n + 2)-bit integer.
+    The method of images of ``count_walks_exact`` with n + 1 = 2^q, read
+    mod 2 by Lucas' theorem: C(t, u) is odd exactly when u is a bitwise
+    submask of t. For t < 2^q the only u <= t in the class of a residue r
+    mod 2^q is r itself, so the count is [alpha within t] XOR
+    [beta within t] with alpha = (t + b - a)/2 and beta = (t + b + a)/2
+    reduced mod 2^q. For t >= 2^q the submasks of t in any class come in
+    2^popcount(t >> q) copies, an even number. A handful of bit
+    operations, whatever t is. Arguments are not checked.
     """
-    keep = ((1 << (n + 1)) - 2) & ~(1 << avoid)
-    mask = 1 << x & keep
-    yield mask
-    for _ in range(k):
-        mask = (mask << 1 ^ mask >> 1) & keep
-        yield mask
+    if t >> q or (t + b - a) % 2:
+        return 0
+    low = (1 << q) - 1
+    alpha = (t + b - a) // 2 & low
+    beta = (t + b + a) // 2 & low
+    return int((alpha & ~t == 0) != (beta & ~t == 0))
 
 
 def _class_sum(k: int, r: int, s: int) -> int:

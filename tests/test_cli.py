@@ -87,7 +87,10 @@ class TestExitCodes:
             (["naive-demo", "--n", "7", "--k", "-1"], "--k"),
             (["naive-demo", "--n", "7", "--k", "99"], "--k 99"),
             (["charpoly", "--n", "-1"], "--n"),
-            (["bench", "--max-m", "0"], "--max-m"),
+            (
+                ["census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "4097"],
+                "--k 4097 exceeds the limit 4096",
+            ),
             (
                 ["census", "--n", "7", "--pivot", "0", "--x", "1", "--y", "1", "--k", "3"],
                 "pivot = 0",
@@ -96,10 +99,28 @@ class TestExitCodes:
                 ["verify-theorem", "--m", "-1", "--k", "-1", "--x", "1", "--y", "1"],
                 "m must be at least 1",
             ),
+            (
+                ["census", "--n", "1025", "--pivot", "4", "--x", "1", "--y", "1", "--k", "3"],
+                "--n 1025 exceeds the limit 1024",
+            ),
+            (
+                ["census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "100000"],
+                "--k 100000 exceeds the limit 4096",
+            ),
         ],
     )
     def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):
         monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
+        real_census = cli.class_census
+
+        def census_within_limits(n, pivot, x, y, k):
+            # an oversized census would only get here if it were not refused
+            assert n <= cli._CENSUS_MAX_N and k <= cli._CENSUS_MAX_K, (
+                "census started on an oversized input"
+            )
+            return real_census(n, pivot, x, y, k)
+
+        monkeypatch.setattr(cli, "class_census", census_within_limits)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -147,8 +168,9 @@ class TestCheckNilpotent:
             calls.append(k)
             return real(a, k)
 
-        for module in (nilpath.gf2, nilpath.cli):
-            monkeypatch.setattr(module, "mat_pow", counting)
+        monkeypatch.setattr(nilpath.gf2, "mat_pow", counting)
+        # cli does not import it; the patch catches a call added later
+        monkeypatch.setattr(nilpath.cli, "mat_pow", counting, raising=False)
         code, parsed, _ = run_json(capsys, "check-nilpotent", "--m", "6")
         assert code == 0
         assert calls == [62]
@@ -303,7 +325,7 @@ class TestVerifyTheorem:
         assert code == 2
         assert "--x" in err
 
-    def test_huge_length_is_refused_before_the_census(self, capsys, monkeypatch):
+    def test_large_m_is_refused_before_the_census(self, capsys, monkeypatch):
         import nilpath.proofcheck
 
         class CensusStarted(Exception):
@@ -312,18 +334,26 @@ class TestVerifyTheorem:
         def refuse(*args):
             raise CensusStarted
 
-        monkeypatch.setattr(nilpath.proofcheck, "_parity_census", refuse)
+        monkeypatch.setattr(nilpath.proofcheck, "_family_census", refuse)
         point = ["--x", "1", "--y", "1"]
         code, out, err = run_cli(
-            capsys, "verify-theorem", "--m", "3", "--k", "10000000", *point
+            capsys, "verify-theorem", "--m", "21", "--k", str(2**21), *point
         )
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert "--k 10000000" in err and str(cli._THEOREM_MAX_K) in err
-        # the limit itself still reaches the census
-        with pytest.raises(CensusStarted):
-            run(["verify-theorem", "--m", "3", "--k", str(cli._THEOREM_MAX_K), *point])
+        assert "--m 21" in err and str(cli._THEOREM_MAX_M) in err
+        # the limit itself, and any length, still reach the census
+        for m, k in ((cli._THEOREM_MAX_M, 2**cli._THEOREM_MAX_M), (3, 10**300)):
+            with pytest.raises(CensusStarted):
+                run(["verify-theorem", "--m", str(m), "--k", str(k), *point])
+
+    def test_huge_length_is_certified(self, capsys):
+        code, parsed, _ = run_json(
+            capsys, "verify-theorem", "--m", "3", "--k", str(10**300), "--x", "3", "--y", "6"
+        )
+        assert code == 0
+        assert parsed["verdict"] == "pass"
 
     def test_single_vertex_has_no_length_limit(self, capsys):
         point = ["--x", "1", "--y", "1"]
@@ -482,6 +512,15 @@ class TestCensus:
         ]
         assert (row["expected"], row["observed"]) == (8, 16)
 
+    def test_the_limits_themselves_are_accepted(self, capsys):
+        for n, k in ((cli._CENSUS_MAX_N, 3), (7, cli._CENSUS_MAX_K)):
+            code, parsed, _ = run_json(
+                capsys, "census", "--n", str(n), "--pivot", "4", "--x", "1", "--y", "1",
+                "--k", str(k),
+            )
+            assert code == 0
+            assert parsed["parameters"]["k"] == k
+
     def test_offset_sum_row_agrees_with_the_census(self, capsys):
         for n, pivot, x, y, k in [
             (1, 1, 1, 1, 0), (1, 1, 1, 1, 4), (2, 1, 2, 2, 5), (7, 4, 4, 4, 6),
@@ -559,15 +598,6 @@ class TestCharpolyCommand:
 
     def test_plain_report_passes_anywhere(self, capsys):
         assert run_cli(capsys, "charpoly", "--n", "6")[0] == 0
-
-
-class TestBench:
-    def test_small_sweep(self, capsys):
-        code, parsed, _ = run_json(capsys, "bench", "--max-m", "4")
-        assert code == 0
-        assert len(parsed["details"]) == 4
-        assert all(d["observed"] == "zero matrix" for d in parsed["details"])
-        assert all("ms" in d["provenance"] for d in parsed["details"])
 
 
 class TestOutputFormats:

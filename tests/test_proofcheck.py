@@ -16,7 +16,7 @@ from nilpath.proofcheck import (
     naive_pivot,
     naive_reflect,
     reflect_class3,
-    _parity_census,
+    _family_census,
     _replay_even,
     theorem_check,
 )
@@ -252,26 +252,36 @@ class TestClassCensus:
             class_census(7, 4, 1, 1, -1)
 
 
+def _census_mod_2(m, x, y, k):
+    census = class_census(2**m - 1, 2 ** (m - 1), x, y, k)
+    odd_offsets = [i for i, c in enumerate(census.per_step_c2) if c % 2]
+    return census.c1 % 2, odd_offsets, census.c3 % 2
+
+
 class TestParityCensus:
-    @given(st.integers(1, 30), st.data())
-    @settings(max_examples=150)
-    def test_is_the_exact_census_mod_2(self, n, data):
-        # off-centre pivots included: there the classes can be odd
-        pivot = data.draw(st.integers(1, n))
+    def test_is_the_exact_census_mod_2(self):
+        odd = Counter()
+        for m in (2, 3, 4):
+            n = 2**m - 1
+            for k in range(3 * n + 1):
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        parities = _family_census(m, x, y, k)
+                        assert parities == _census_mod_2(m, x, y, k), (m, x, y, k)
+                        c1, odd_offsets, c3 = parities
+                        odd.update(c1=c1, c2=bool(odd_offsets), c3=c3)
+        # below k = n classes 1 and 2 have odd cases, so the check is not
+        # vacuous; the midpoint reflection pairs class 3 at every length
+        assert odd["c1"] > 0 and odd["c2"] > 0 and odd["c3"] == 0, odd
+
+    @given(st.integers(5, 8), st.data())
+    @settings(max_examples=40)
+    def test_is_the_exact_census_mod_2_for_larger_m(self, m, data):
+        n = 2**m - 1
         x = data.draw(st.integers(1, n))
         y = data.draw(st.integers(1, n))
-        k = data.draw(st.integers(0, 2 * n + 3))
-        census = class_census(n, pivot, x, y, k)
-        c1, per_step_c2, c3 = _parity_census(n, pivot, x, y, k)
-        assert c1 == census.c1 % 2
-        assert per_step_c2 == tuple(c % 2 for c in census.per_step_c2)
-        assert c3 == census.c3 % 2
-
-    def test_odd_classes_off_centre(self):
-        # 1-2-3, pivot 1: the walks 2-1-2 (class 2) and 2-3-2 (class 1)
-        assert _parity_census(3, 1, 2, 2, 2) == (1, (0, 1, 0), 0)
-        # 1-2, pivot 1, length 2 from 1 to 1: the single walk 1-2-1 is class 3
-        assert _parity_census(2, 1, 1, 1, 2) == (0, (0, 0, 0), 1)
+        k = data.draw(st.integers(0, 3 * n))
+        assert _family_census(m, x, y, k) == _census_mod_2(m, x, y, k)
 
 
 class TestClass2BySides:

@@ -10,6 +10,7 @@ from nilpath.walks import (
     EnumerationCapExceeded,
     PathSpec,
     Walk,
+    _family_parity,
     _parity_vector,
     _walks,
     count_walks_exact,
@@ -388,6 +389,19 @@ class TestParityVector:
     def test_first_column_survives_one_step_short(self):
         for n in range(1, 4097):
             assert _parity_vector(n, 1, n - 1) != 0, n
+
+
+class TestFamilyParity:
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=200)
+    def test_is_the_doubling_parity(self, q, data):
+        # images and Lucas' theorem against Frobenius doubling; short
+        # lengths, where the submask tests decide, are drawn as often as long
+        n = 2**q - 1
+        a = data.draw(st.integers(1, n))
+        b = data.draw(st.integers(1, n))
+        t = data.draw(st.one_of(st.integers(0, 2 * n + 2), st.integers(0, 10**18)))
+        assert _family_parity(q, a, b, t) == count_walks_parity(n, a, b, t)
 
 
 class TestIntegerAdjacencyPower:
