@@ -55,6 +55,16 @@ _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 # takes about a third of a second at the limit.
 _THEOREM_MAX_M = 20
 
+# check-nilpotent keeps the n x n matrix and its powers as n-bit rows;
+# n = 32767 takes 3 to 4 s and 420 MiB. --m is checked before 2^m is formed.
+_NILPOTENT_MAX_M = 15
+_NILPOTENT_MAX_N = 2**15 - 1
+
+# walk-count holds n-bit parity masks, about 0.3 s at n = 2^24; the exact
+# count adds a sum of binomials of up to k bits, under 1 s at k = 2^15.
+_WALK_MAX_N = 2**24
+_EXACT_MAX_K = 2**15
+
 # census keeps k + 1 exact counts of up to k bits per stream and prints the
 # per-offset counts in decimal; n = 1023 with k = 4096 takes about 2 s.
 _CENSUS_MAX_N = 1024
@@ -102,7 +112,12 @@ def _value_row(check: str, value: object, provenance: str) -> Detail:
 
 
 def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
-    spec = PathSpec.from_m(args.m) if args.m is not None else PathSpec.from_n(args.n)
+    if args.m is not None:
+        _at_most("--m", args.m, _NILPOTENT_MAX_M)
+        spec = PathSpec.from_m(args.m)
+    else:
+        _at_most("--n", args.n, _NILPOTENT_MAX_N)
+        spec = PathSpec.from_n(args.n)
     n = spec.n
     # nilpotency_index is None exactly when A^n is nonzero, so its one
     # power chain answers both of the first two rows
@@ -149,9 +164,11 @@ def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
     n, x, y, k = args.n, args.x, args.y, args.k
+    _at_most("--n", n, _WALK_MAX_N)
     params = {"n": n, "x": x, "y": y, "k": k, "mode": args.mode}
     details = []
     if args.mode == "exact":
+        _at_most("--k", k, _EXACT_MAX_K)
         count = count_walks_exact(n, x, y, k)
         details.append(
             _value_row(

@@ -9,8 +9,8 @@ is paired off by reflecting the segment between the first two visits. This
 module makes every step of that argument runnable and checkable: the
 classifier, the class-2 splitter, the class-3 reflection, an exact census
 of the three classes for any pivot, their parities at the midpoint in
-closed form, a recursive certificate builder, and the tempting but broken
-variant of the reflection that picks its pivot by divisibility.
+closed form, the case notes of the recursive certificate, and the tempting
+but broken variant of the reflection that picks its pivot by divisibility.
 """
 
 from __future__ import annotations
@@ -293,83 +293,17 @@ def _family_census(m: int, x: int, y: int, k: int) -> tuple[int, list[int], int]
     return c1, odd_offsets, c3
 
 
-def _replay_even(
-    m: int,
-    k: int,
-    x: int,
-    y: int,
-    memo: dict[tuple[int, int, int], int],
-) -> None:
-    """Re-derive that every (m, j, x, y) walk count with n <= j <= k is even.
-
-    Splits on midpoint visits and recurses into the half-paths, which are
-    themselves paths on 2^(m-1) - 1 vertices. Nothing is enumerated; the
-    function only checks that every case of the argument applies, and
-    raises RuntimeError if the case analysis ever fails to cover.
-
-    One call certifies a whole range of lengths. ``memo`` maps an endpoint
-    pair (m, x, y) to the largest k for which every length n..k is
-    certified, so a request up to k is settled by any stored value >= k.
-    Over all lengths and visit offsets, the class-2 factors of a node are
-    a prefix from x to the pivot's neighbour on x's side and a suffix from
-    the neighbour on y's side to y, each over one interval of lengths. So
-    a node recurses on at most four pairs, whose endpoints are the
-    half-path images of x and y or the ends of the half-path. Each level
-    then holds at most seven pairs: the memo has O(m) keys and the replay
-    makes O(m) calls, whatever k is.
-    """
-    n = 2**m - 1
-    if k < n:
-        raise RuntimeError(f"recursion broke the length bound: k = {k} < n = {n}")
-    key = (m, x, y)
-    if memo.get(key, -1) >= k:
-        return
-    if m == 1:
-        # single vertex, no edges: zero walks of any positive length
-        memo[key] = k
-        return
-    p = 2 ** (m - 1)
-    half = m - 1
-    half_n = 2**half - 1
-    hx, hy = _half_vertex(x, p), _half_vertex(y, p)
-    ex = _half_vertex(_pivot_neighbor(x, p), p)
-    ey = _half_vertex(_pivot_neighbor(y, p), p)
-
-    # Class 1 lives in one half-path when both endpoints lie on one side.
-    if x != p and y != p and (x < p) == (y < p):
-        _replay_even(half, k, hx, hy, memo)
-
-    # Class 2, visit offset i of a length-j walk. Offset 0 (x = p != y)
-    # leaves a suffix of length j - 1 and offset j (y = p != x) a prefix of
-    # length j - 1. An interior offset, possible only when neither endpoint
-    # is p, has a prefix of length i - 1 and a suffix of length j - i - 1;
-    # the prefix reaches half_n from offset half_n + 1 on, the suffix up to
-    # offset j - 1 - half_n, and both stay at most j - 2.
-    if x == p and y != p:
-        _replay_even(half, k - 1, ey, hy, memo)
-    elif y == p and x != p:
-        _replay_even(half, k - 1, hx, ex, memo)
-    elif x != p and y != p:
-        # Coverage only grows with the length, so the lowest one, n, decides.
-        prefix = n - 1 - half_n
-        suffix = min(half_n, n - 1 - half_n)
-        if prefix + suffix < n - 1:
-            raise RuntimeError(
-                f"neither factor of the step-{suffix + 1} split reaches length "
-                f"{half_n}; that contradicts k >= {n}"
-            )
-        _replay_even(half, k - 2, hx, ex, memo)
-        _replay_even(half, k - 2, ey, hy, memo)
-    memo[key] = k
-
-
 def _certificate_notes(m: int, k: int, x: int, y: int) -> tuple[str, str]:
     """The class-1 and class-2 justifications of the top certificate node.
 
-    Closed forms of the cases ``_replay_even`` recurses on: class 1 is
-    empty or confined to one half-path, and the class-2 visit offsets
-    0..k split into prefix recursions, suffix recursions and structurally
-    empty offsets.
+    Class 1 is empty or confined to one half-path, and the class-2 visit
+    offsets 0..k split into prefix recursions, suffix recursions and
+    structurally empty offsets. Each recursion is on a half-path of
+    half_n = 2^(m-1) - 1 vertices with a length of at least half_n: class 1
+    keeps k, an end offset leaves k - 1, and an interior offset leaves a
+    prefix and a suffix whose lengths sum to k - 2 >= 2 * half_n - 1, so
+    one of them reaches half_n. Hence the bound k >= n, once it holds at
+    the top, holds at every node, and no offset is left uncovered.
     """
     p = 2 ** (m - 1)
     half_n = p - 1
@@ -403,11 +337,13 @@ def _certificate_notes(m: int, k: int, x: int, y: int) -> tuple[str, str]:
 def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     """Certify that the length-k walk count from x to y is even, for k >= n.
 
-    Requires n = 2^m - 1 vertices and k >= n. Builds the recursive
-    per-class certificate, measures each class's actual parity with the
-    closed-form census (two submask tests per factor at each visit offset
-    below the midpoint, so O(2^(m-1)) tests whatever k is), and
-    cross-checks the total against the mod-2 count by Frobenius doubling.
+    Requires n = 2^m - 1 vertices and k >= n. That bound makes every case
+    of the recursive per-class certificate apply at every level (see
+    ``_certificate_notes``), so only the top node's notes are reported.
+    Measures each class's actual parity with the closed-form census (two
+    submask tests per factor at each visit offset below the midpoint, so
+    O(2^(m-1)) tests whatever k is), and cross-checks the total against
+    the mod-2 count by Frobenius doubling.
     The report carries one row per class plus the cross-check.
     """
     n = PathSpec.from_m(m).n
@@ -427,7 +363,6 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             )
         )
     else:
-        _replay_even(m, k, x, y, {})
         class1_note, class2_note = _certificate_notes(m, k, x, y)
         c1, odd_offsets, c3 = _family_census(m, x, y, k)
         details.append(

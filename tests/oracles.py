@@ -146,9 +146,10 @@ def per_offset_replay(
 ) -> dict[str, str]:
     """Replay the three-class evenness certificate one visit offset at a time.
 
-    The reference for ``proofcheck._replay_even``: the same recursion on
-    half-paths, but each length k is its own memo key and every class-2
-    visit offset 0..k is checked separately, so the cost grows with k * n.
+    The reference for the class notes of ``proofcheck.theorem_check``: it
+    runs the recursion on half-paths that those notes describe, with each
+    length k its own memo key and every class-2 visit offset 0..k checked
+    separately, so the cost grows with k * n.
     Returns the top-level justification strings by class and raises
     RuntimeError where the case analysis fails to cover. ``memo`` holds the
     certified (m, k, x, y) and may be shared across calls to save repeats.

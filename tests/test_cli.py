@@ -47,6 +47,17 @@ def no_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def refusing(route, name, oversized):
+    """``route``, failing the test when it is called on an oversized input."""
+
+    def checked(*args):
+        # an oversized input would only get here if it were not refused
+        assert not oversized(*args), f"{name} started on an oversized input"
+        return route(*args)
+
+    return checked
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "check-nilpotent", "--m", "3")
@@ -107,26 +118,78 @@ class TestExitCodes:
                 ["census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "100000"],
                 "--k 100000 exceeds the limit 4096",
             ),
+            (
+                ["walk-count", "--parity", "--n", "100000000000", "--x", "1", "--y", "1", "--k", "3"],
+                "--n 100000000000 exceeds the limit 16777216",
+            ),
+            (
+                ["walk-count", "--exact", "--n", "100000000000", "--x", "1", "--y", "1", "--k", "3"],
+                "--n 100000000000 exceeds the limit 16777216",
+            ),
+            (
+                ["walk-count", "--parity", "--n", "16777217", "--x", "1", "--y", "1", "--k", "3"],
+                "--n 16777217 exceeds the limit 16777216",
+            ),
+            (
+                ["walk-count", "--exact", "--n", "2", "--x", "1", "--y", "1", "--k", "32769"],
+                "--k 32769 exceeds the limit 32768",
+            ),
+            (["check-nilpotent", "--m", "40"], "--m 40 exceeds the limit 15"),
+            (["check-nilpotent", "--m", "16"], "--m 16 exceeds the limit 15"),
+            (["check-nilpotent", "--n", "32768"], "--n 32768 exceeds the limit 32767"),
         ],
     )
     def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):
         monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
-        real_census = cli.class_census
-
-        def census_within_limits(n, pivot, x, y, k):
-            # an oversized census would only get here if it were not refused
-            assert n <= cli._CENSUS_MAX_N and k <= cli._CENSUS_MAX_K, (
-                "census started on an oversized input"
-            )
-            return real_census(n, pivot, x, y, k)
-
-        monkeypatch.setattr(cli, "class_census", census_within_limits)
+        for name, oversized in (
+            (
+                "class_census",
+                lambda n, pivot, x, y, k: n > cli._CENSUS_MAX_N or k > cli._CENSUS_MAX_K,
+            ),
+            (
+                "count_walks_exact",
+                lambda n, x, y, k: n > cli._WALK_MAX_N or k > cli._EXACT_MAX_K,
+            ),
+            ("count_walks_parity", lambda n, x, y, k: n > cli._WALK_MAX_N),
+            # the first step of check-nilpotent, before nilpotency_index
+            ("path_adjacency", lambda n: n > cli._NILPOTENT_MAX_N),
+        ):
+            monkeypatch.setattr(cli, name, refusing(getattr(cli, name), name, oversized))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert says in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (
+                ["walk-count", "--parity", "--n", str(cli._WALK_MAX_N), "--x", "1", "--y", "1",
+                 "--k", "3"],
+                "count_walks_parity",
+            ),
+            (
+                ["walk-count", "--exact", "--n", str(cli._WALK_MAX_N), "--x", "1", "--y", "1",
+                 "--k", str(cli._EXACT_MAX_K)],
+                "count_walks_exact",
+            ),
+            (["check-nilpotent", "--m", str(cli._NILPOTENT_MAX_M)], "path_adjacency"),
+            (["check-nilpotent", "--n", str(cli._NILPOTENT_MAX_N)], "path_adjacency"),
+        ],
+    )
+    def test_size_limits_themselves_are_accepted(self, monkeypatch, argv, route):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        # the route is stubbed, so an accepted input costs nothing
+        monkeypatch.setattr(cli, route, reached)
+        with pytest.raises(Reached):
+            run(argv)
 
     def test_cap_refusals_name_the_flag_and_the_variable(self, capsys, monkeypatch):
         monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)

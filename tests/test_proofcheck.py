@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -17,7 +16,6 @@ from nilpath.proofcheck import (
     naive_reflect,
     reflect_class3,
     _family_census,
-    _replay_even,
     theorem_check,
 )
 from nilpath.walks import (
@@ -363,6 +361,11 @@ class TestTheoremCheck:
     def test_rejects_short_lengths(self):
         with pytest.raises(ValueError):
             theorem_check(3, 6, 1, 1)
+        for m in range(1, 7):
+            n = 2**m - 1
+            for x, y in ((1, 1), (1, n), ((n + 1) // 2, n)):
+                with pytest.raises(ValueError, match="below the bound"):
+                    theorem_check(m, n - 1, x, y)
 
     def test_rejects_bad_vertices_and_m(self):
         with pytest.raises(ValueError):
@@ -414,25 +417,20 @@ class TestTheoremCheck:
         assert count_walks_parity(n, x, y, n + extra) == 0
 
 
-def _assert_matches_per_offset_replay(m, k, x, y, shared_memo=None):
-    """Same class texts and verdict as the per-offset replay; without a
-    shared memo, also check that every (m', k', a, b) the per-offset replay
-    certifies is certified here: stored as (m', a, b) up to at least k'."""
+def _assert_matches_per_offset_replay(m, k, x, y, memo=None):
+    """Same class texts and verdict as the per-offset replay, which may share
+    its memo of certified cases across calls."""
     report = theorem_check(m, k, x, y)
-    per_offset = set() if shared_memo is None else shared_memo
-    oracle = per_offset_replay(m, k, x, y, per_offset)
+    oracle = per_offset_replay(m, k, x, y, memo)
     notes = {d.check.split(":")[0]: d.provenance for d in report.details}
     assert notes["class 1"] == oracle["class1"]
     assert notes["class 2"] == oracle["class2"]
     assert report.passed
-    if shared_memo is None:
-        memo = {}
-        _replay_even(m, k, x, y, memo)
-        for level, length, a, b in per_offset:
-            assert memo[level, a, b] >= length
 
 
 class TestReplayEven:
+    """The certificate notes of ``theorem_check`` against ``per_offset_replay``."""
+
     def test_matches_per_offset_replay_exhaustively(self):
         memo = set()
         for m in (2, 3, 4):
@@ -450,42 +448,6 @@ class TestReplayEven:
         x = data.draw(st.integers(1, n))
         y = data.draw(st.integers(1, n))
         _assert_matches_per_offset_replay(m, k, x, y)
-
-    def test_length_below_bound_raises(self):
-        for m in range(1, 7):
-            n = 2**m - 1
-            for x, y in ((1, 1), (1, n), ((n + 1) // 2, n)):
-                with pytest.raises(RuntimeError, match="length bound"):
-                    _replay_even(m, n - 1, x, y, {})
-
-    def test_memo_holds_at_most_seven_pairs_per_level(self):
-        # Below the top, every key (j, a, b) has a in {x_j, 1, n_j} and
-        # b in {y_j, 1, n_j}, where x_j, y_j are the half-path images of the
-        # endpoints; (1, 1) and (n_j, n_j) only arise through them, so each
-        # level holds at most seven pairs and the memo O(m) of them.
-        m = 20
-        n = 2**m - 1
-        p = 2 ** (m - 1)
-        rng = random.Random(20)
-        pairs = [(1, 1), (1, n), (p, 1), (p, p), (p - 1, p + 1), (n // 3, n // 5)]
-        pairs += [(x, x) for x in (0xAAAAA, 0x55555, 786310)]
-        pairs += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(40)]
-        for x, y in pairs:
-            memo = {}
-            _replay_even(m, n, x, y, memo)
-            per_level = Counter(level for level, _, _ in memo)
-            assert max(per_level.values()) <= 7
-            assert len(memo) <= 7 * m
-            assert memo[m, x, y] == n
-
-    def test_memo_settles_longer_requests_only(self):
-        memo = {}
-        _replay_even(5, 40, 3, 9, memo)
-        snapshot = dict(memo)
-        _replay_even(5, 35, 3, 9, memo)
-        assert memo == snapshot
-        _replay_even(5, 50, 3, 9, memo)
-        assert memo[5, 3, 9] == 50
 
     def test_full_certificate_at_m_10(self):
         assert theorem_check(10, 1100, 341, 700).passed
