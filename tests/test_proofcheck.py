@@ -361,11 +361,6 @@ class TestTheoremCheck:
     def test_rejects_short_lengths(self):
         with pytest.raises(ValueError):
             theorem_check(3, 6, 1, 1)
-        for m in range(1, 7):
-            n = 2**m - 1
-            for x, y in ((1, 1), (1, n), ((n + 1) // 2, n)):
-                with pytest.raises(ValueError, match="below the bound"):
-                    theorem_check(m, n - 1, x, y)
 
     def test_rejects_bad_vertices_and_m(self):
         with pytest.raises(ValueError):
@@ -452,6 +447,14 @@ class TestReplayEven:
     def test_full_certificate_at_m_10(self):
         assert theorem_check(10, 1100, 341, 700).passed
         assert theorem_check(10, 1100, 512, 3).passed
+
+    def test_length_below_bound_raises(self):
+        # No certificate is issued below k = n: theorem_check refuses first.
+        for m in range(1, 7):
+            n = 2**m - 1
+            for x, y in ((1, 1), (1, n), ((n + 1) // 2, n)):
+                with pytest.raises(ValueError, match="below the bound"):
+                    theorem_check(m, n - 1, x, y)
 
 
 class TestNaivePivot:
