@@ -4,18 +4,14 @@ Every subcommand runs one verification and prints a single report: a
 table by default, or one JSON object / CSV detail rows with ``--format``.
 Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
-an input above a command's size limit, refused before any work starts.
-
-The walk-enumerating commands refuse lengths above a cap (default
-``DEFAULT_ENUM_CAP``) because their work grows exponentially; set the
-``NILPATH_ENUM_CAP`` environment variable to raise or lower it.
+an input outside a command's size limits. Every size limit is a row of
+``_LIMITS``, checked once after parsing, before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from collections import Counter
@@ -36,8 +32,8 @@ from .proofcheck import (
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
     DEFAULT_ENUM_CAP,
-    PathSpec,
     Walk,
+    _count_vectors,
     _parity_vector,
     _walks,
     count_walks_exact,
@@ -51,59 +47,87 @@ __all__ = ["run", "console_main"]
 
 _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
-# verify-theorem reads about 2^(m-1) visit offsets, whatever --k is, and
-# takes about a third of a second at the limit.
-_THEOREM_MAX_M = 20
 
-# check-nilpotent keeps the n x n matrix and its powers as n-bit rows;
-# n = 32767 takes 3 to 4 s and 420 MiB. --m is checked before 2^m is formed.
-_NILPOTENT_MAX_M = 15
-_NILPOTENT_MAX_N = 2**15 - 1
+def _walks_listed(n: int, k: int) -> int:
+    """Walks of length at most k from every vertex: the sum of 1^T A^t 1."""
+    return sum(sum(counts) for counts in _count_vectors(n, None, k))
 
-# walk-count holds n-bit parity masks, about 0.3 s at n = 2^24; the exact
-# count adds a sum of binomials of up to k bits, under 1 s at k = 2^15.
-_WALK_MAX_N = 2**24
-_EXACT_MAX_K = 2**15
 
-# census keeps k + 1 exact counts of up to k bits per stream and prints the
-# per-offset counts in decimal; n = 1023 with k = 4096 takes about 2 s.
-_CENSUS_MAX_N = 1024
-_CENSUS_MAX_K = 4096
+# Every size limit of the command line, checked by _check_limits after
+# parsing and before any handler runs. A row (flags, least, largest) bounds
+# the value of its one flag; None leaves a side open. A row (flags, least,
+# largest, estimate, unit) bounds estimate(*values of its flags) instead, a
+# count of the work the command would do, which the refusal states in its
+# unit. Rows run in order, so an estimate only sees flags already in
+# range. walk-count --exact adds the rows keyed by its mode. Times are one
+# process at the largest accepted input, on 2 cores.
+_LIMITS: dict[object, list[tuple]] = {
+    # the n x n matrix and its powers as n-bit rows: --n 32767 takes 3.6 to
+    # 4.6 s and 420 MiB; --m is checked before 2^m is formed
+    "check-nilpotent": [("--m", 1, 15), ("--n", 1, 2**15 - 1)],
+    # the parity route rotates a 2(n + 1)-bit state for each bit of k:
+    # 0.8 s at --n 16777215 with --k 2^64 - 1
+    "walk-count": [
+        ("--n", 1, 2**24),
+        ("--k", 0, None),
+        ("--n --k", None, 2**30, lambda n, k: (n + 1) * k.bit_length(),
+         "rotates {} state bits"),
+    ],
+    # a sum of binomials of up to k bits: 0.7 s at the limit
+    ("walk-count", "exact"): [("--k", 0, 2**15)],
+    # one matrix power and n^2 exact counts per length: 1.7 s at --n 256
+    # --max-k 8, which lists 129,104 walks
+    "verify-lemma": [
+        ("--n", 1, 256),
+        ("--max-k", 0, DEFAULT_ENUM_CAP),
+        ("--n --max-k", None, 2**17, _walks_listed, "lists {} walks"),
+    ],
+    # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
+    "verify-theorem": [("--m", 1, 20)],
+    # --m 1 has a single vertex and no midpoint to reflect across; 1.6 s
+    # at --m 10 --k 6, which lists 129,575 walks
+    "involution-test": [
+        ("--m", 2, 10),
+        ("--k", 0, DEFAULT_ENUM_CAP),
+        ("--m --k", None, 2**17, lambda m, k: _walks_listed(2**m - 1, k),
+         "lists {} walks"),
+    ],
+    # k + 1 exact counts of up to k bits per stream, all printed in
+    # decimal: 2.2 s at --n 1024 --k 4096
+    "census": [("--n", 1, 1024), ("--k", 0, 4096)],
+    # no walks row: the scan stops at its first witness; 2 s at --n 7 --k 22
+    "naive-demo": [("--n", 1, 1024), ("--k", 0, 22)],
+    # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
+    "charpoly": [("--n", 0, 2**17)],
+}
 
 
 class _UsageError(Exception):
     """Parameter problem detected after argparse; message goes to stderr."""
 
 
-def _enum_cap() -> int:
-    raw = os.environ.get("NILPATH_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"NILPATH_ENUM_CAP must be an integer, got {raw!r}")
-    if cap < 0:
-        raise _UsageError(f"NILPATH_ENUM_CAP must be non-negative, got {cap}")
-    return cap
-
-
-def _enum_length(flag: str, k: int) -> int:
-    """Refuse a negative or over-cap enumeration length; return the cap."""
-    if k < 0:
-        raise _UsageError(f"{flag} must be non-negative, got {k}")
-    cap = _enum_cap()
-    if k > cap:
-        raise _UsageError(
-            f"{flag} {k} exceeds the enumeration cap {cap} "
-            "(override with NILPATH_ENUM_CAP)"
-        )
-    return cap
-
-
-def _at_most(flag: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise _UsageError(f"{flag} {value} exceeds the limit {limit}")
+def _check_limits(args: argparse.Namespace) -> None:
+    """The one size check: refuse any value outside its row of ``_LIMITS``."""
+    mode = (args.command, getattr(args, "mode", None))
+    for flags, least, largest, *work in _LIMITS[args.command] + _LIMITS.get(mode, []):
+        names = flags.split()
+        values = [getattr(args, name[2:].replace("-", "_")) for name in names]
+        if None in values:
+            continue  # an optional flag left out, as with verify-theorem --all
+        if work:
+            estimate, unit = work
+            value = estimate(*values)
+            if value > largest:
+                stated = " ".join(f"{name} {v}" for name, v in zip(names, values))
+                raise _UsageError(
+                    f"{stated} {unit.format(value)}, above the limit {largest}"
+                )
+        else:
+            (value,) = values
+            if least is not None and value < least:
+                raise _UsageError(f"{flags} must be at least {least}, got {value}")
+            if largest is not None and value > largest:
+                raise _UsageError(f"{flags} {value} exceeds the limit {largest}")
 
 
 def _value_row(check: str, value: object, provenance: str) -> Detail:
@@ -113,12 +137,11 @@ def _value_row(check: str, value: object, provenance: str) -> Detail:
 
 def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
     if args.m is not None:
-        _at_most("--m", args.m, _NILPOTENT_MAX_M)
-        spec = PathSpec.from_m(args.m)
+        m, n = args.m, 2**args.m - 1
     else:
-        _at_most("--n", args.n, _NILPOTENT_MAX_N)
-        spec = PathSpec.from_n(args.n)
-    n = spec.n
+        # tag n with m when n + 1 is a power of two
+        n = args.n
+        m = n.bit_length() if (n + 1) & n == 0 else None
     # nilpotency_index is None exactly when A^n is nonzero, so its one
     # power chain answers both of the first two rows
     index = nilpotency_index(path_adjacency(n))
@@ -158,17 +181,15 @@ def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
         )
     )
     return ParityReport.from_details(
-        "check-nilpotent", {"m": spec.m, "n": n}, details
+        "check-nilpotent", {"m": m, "n": n}, details
     )
 
 
 def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
     n, x, y, k = args.n, args.x, args.y, args.k
-    _at_most("--n", n, _WALK_MAX_N)
     params = {"n": n, "x": x, "y": y, "k": k, "mode": args.mode}
     details = []
     if args.mode == "exact":
-        _at_most("--k", k, _EXACT_MAX_K)
         count = count_walks_exact(n, x, y, k)
         details.append(
             _value_row(
@@ -198,9 +219,6 @@ def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
     n, max_k = args.n, args.max_k
-    if n < 1:
-        raise _UsageError(f"--n must be at least 1, got {n}")
-    _enum_length("--max-k", max_k)
     params = {"n": n, "max_k": max_k}
     # one DFS per start vertex lists the walks of every length and end
     listed = Counter()
@@ -261,17 +279,11 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
         raise _UsageError(
             f"verify-theorem needs {' '.join(missing)} (or --all)"
         )
-    _at_most("--m", args.m, _THEOREM_MAX_M)
     return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
 
 
 def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
-    spec = PathSpec.from_m(args.m)
-    n = spec.n
-    k = args.k
-    _enum_length("--k", k)
-    if n == 1:
-        raise _UsageError("--m 1 has a single vertex and no midpoint to reflect across")
+    n, k = 2**args.m - 1, args.k
     pivot = 2 ** (args.m - 1)
     params = {"m": args.m, "n": n, "k": k, "pivot": pivot}
     tested = 0
@@ -314,8 +326,6 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_census(args: argparse.Namespace) -> ParityReport:
     n, pivot, x, y, k = args.n, args.pivot, args.x, args.y, args.k
-    _at_most("--n", n, _CENSUS_MAX_N)
-    _at_most("--k", k, _CENSUS_MAX_K)
     census = class_census(n, pivot, x, y, k)
     total = count_walks_exact(n, x, y, k)
     params = {"n": n, "pivot": pivot, "x": x, "y": y, "k": k}
@@ -350,7 +360,7 @@ def _cmd_census(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
     n, k = args.n, args.k
-    witness = find_naive_failure(n, k, cap=_enum_length("--k", k))
+    witness = find_naive_failure(n, k)
     params = {"n": n, "k": k}
     details = [
         Detail(
@@ -388,8 +398,6 @@ def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
 
 def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
     n = args.n
-    if n < 0:
-        raise _UsageError(f"--n must be non-negative, got {n}")
     poly = charpoly_path(n)
     params = {"n": n, "check_monomial": args.check_monomial}
     details = [
@@ -554,8 +562,9 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
-    started = time.perf_counter()
     try:
+        _check_limits(args)
+        started = time.perf_counter()
         report = args.handler(args)
     except (_UsageError, ValueError) as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .report import Detail, ParityReport
 from .walks import (
     DEFAULT_ENUM_CAP,
-    PathSpec,
     Walk,
     _check_args,
     _check_cap,
@@ -346,7 +345,9 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     the mod-2 count by Frobenius doubling.
     The report carries one row per class plus the cross-check.
     """
-    n = PathSpec.from_m(m).n
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    n = 2**m - 1
     if k < n:
         raise ValueError(f"k = {k} is below the bound: need k >= n = {n}")
     _check_args(n, k, x=x, y=y)

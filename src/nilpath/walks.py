@@ -12,10 +12,10 @@ This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree, so one pass from a start vertex lists the
 walks of every length up to k, and every walk listing, with or without a
-fixed end vertex, picks its nodes from it. Two helpers serve only
-:mod:`nilpath.proofcheck`. ``_count_vectors`` is the single counting
-step, behind the exact three-class census, which passes the vertex its
-walks must avoid, and the class-2 count from side segments.
+fixed end vertex, picks its nodes from it. ``_count_vectors`` is the
+single counting step, behind the exact three-class census, which passes
+the vertex its walks must avoid, the class-2 count from side segments,
+and the command line's estimate of how many walks an enumeration lists.
 ``_family_parity`` is the image sum read mod 2 in closed form on paths of
 2^q - 1 vertices, behind the class parities of ``theorem_check``.
 ``_check_args`` and ``_check_cap`` validate the walk arguments of the
@@ -34,7 +34,6 @@ from .gf2 import GF2Matrix
 __all__ = [
     "DEFAULT_ENUM_CAP",
     "EnumerationCapExceeded",
-    "PathSpec",
     "Walk",
     "path_adjacency",
     "walk_is_valid",
@@ -52,32 +51,6 @@ DEFAULT_ENUM_CAP = 24
 
 class EnumerationCapExceeded(Exception):
     """Requested walk length exceeds the configured enumeration cap."""
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """A path-graph size, optionally tagged with m when n = 2^m - 1."""
-
-    n: int
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_args(self.n)
-        if self.m is not None and self.n != 2**self.m - 1:
-            raise ValueError(f"n = {self.n} is not 2^{self.m} - 1")
-
-    @classmethod
-    def from_m(cls, m: int) -> "PathSpec":
-        if m < 1:
-            raise ValueError(f"m must be at least 1, got {m}")
-        return cls(2**m - 1, m)
-
-    @classmethod
-    def from_n(cls, n: int) -> "PathSpec":
-        """Tag n with m when n + 1 is a power of two; otherwise leave m unset."""
-        if n >= 1 and (n + 1) & n == 0:
-            return cls(n, n.bit_length())
-        return cls(n)
 
 
 @dataclass(frozen=True)
@@ -206,15 +179,19 @@ def enumerate_walks(
     return [Walk(vs) for vs in _walks(n, x, k, y) if len(vs) > k]
 
 
-def _count_vectors(n: int, x: int, k: int, avoid: int = 0) -> Iterator[list[int]]:
+def _count_vectors(
+    n: int, x: int | None, k: int, avoid: int = 0
+) -> Iterator[list[int]]:
     """The one counting step: yield the counting vectors of steps 0..k.
 
     Entry v of the vector after t steps is the number of length-t walks
-    from x to v that never touch ``avoid``. Positions 0 and n + 1 are
-    permanent-zero sentinels, so the default avoid = 0 changes nothing.
+    from x to v that never touch ``avoid``; with x = None the walks may
+    start at any vertex. Positions 0 and n + 1 are permanent-zero
+    sentinels, so the default avoid = 0 changes nothing.
     """
-    counts = [0] * (n + 2)
-    counts[x] = 1
+    counts = [0] + [int(x is None)] * n + [0]
+    if x is not None:
+        counts[x] = 1
     counts[avoid] = 0
     yield counts
     for _ in range(k):

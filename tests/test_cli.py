@@ -47,6 +47,11 @@ def no_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+# the largest value of each row of the CLI's limit table
+LARGEST = {(key, row[0]): row[2] for key, rows in cli._LIMITS.items() for row in rows}
+BIG_K = str(10**1000)
+
+
 def refusing(route, name, oversized):
     """``route``, failing the test when it is called on an oversized input."""
 
@@ -137,22 +142,85 @@ class TestExitCodes:
             (["check-nilpotent", "--m", "40"], "--m 40 exceeds the limit 15"),
             (["check-nilpotent", "--m", "16"], "--m 16 exceeds the limit 15"),
             (["check-nilpotent", "--n", "32768"], "--n 32768 exceeds the limit 32767"),
+            (["check-nilpotent", "--m", "0"], "--m must be at least 1, got 0"),
+            (["check-nilpotent", "--n", "0"], "--n must be at least 1, got 0"),
+            (
+                ["walk-count", "--parity", "--n", "16777216", "--x", "1", "--y", "1",
+                 "--k", str(2**64 - 1)],
+                "--n 16777216 --k 18446744073709551615 rotates 1073741888 state bits, "
+                "above the limit 1073741824",
+            ),
+            pytest.param(
+                ["walk-count", "--parity", "--n", "16777216", "--x", "1", "--y", "1",
+                 "--k", BIG_K],
+                f"--n 16777216 --k {BIG_K} rotates",
+                id="argv-walk-count-k-of-1001-digits",
+            ),
+            (
+                ["walk-count", "--parity", "--n", "7", "--x", "1", "--y", "1", "--k", "-1"],
+                "--k must be at least 0, got -1",
+            ),
+            (["verify-lemma", "--n", "257", "--max-k", "0"], "--n 257 exceeds the limit 256"),
+            (
+                ["verify-lemma", "--n", "3000", "--max-k", "2"],
+                "--n 3000 exceeds the limit 256",
+            ),
+            (["verify-lemma", "--n", "1", "--max-k", "25"], "--max-k 25 exceeds the limit 24"),
+            (
+                ["verify-lemma", "--n", "256", "--max-k", "9"],
+                "--n 256 --max-k 9 lists 258168 walks, above the limit 131072",
+            ),
+            (
+                ["verify-theorem", "--m", "21", "--k", "2097151", "--x", "1", "--y", "1"],
+                "--m 21 exceeds the limit 20",
+            ),
+            (["involution-test", "--m", "11", "--k", "0"], "--m 11 exceeds the limit 10"),
+            (["involution-test", "--m", "12", "--k", "12"], "--m 12 exceeds the limit 10"),
+            (["involution-test", "--m", "1", "--k", "3"], "--m must be at least 2, got 1"),
+            (["involution-test", "--m", "2", "--k", "25"], "--k 25 exceeds the limit 24"),
+            (
+                ["involution-test", "--m", "4", "--k", "20"],
+                "--m 4 --k 20 lists 18788741 walks, above the limit 131072",
+            ),
+            (
+                ["involution-test", "--m", "10", "--k", "7"],
+                "--m 10 --k 7 lists 260087 walks, above the limit 131072",
+            ),
+            (
+                ["census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "-1"],
+                "--k must be at least 0, got -1",
+            ),
+            (["naive-demo", "--n", "1025", "--k", "3"], "--n 1025 exceeds the limit 1024"),
+            (["naive-demo", "--n", "5000", "--k", "3"], "--n 5000 exceeds the limit 1024"),
+            (["naive-demo", "--n", "7", "--k", "23"], "--k 23 exceeds the limit 22"),
+            (["charpoly", "--n", "131073"], "--n 131073 exceeds the limit 131072"),
+            (["charpoly", "--n", "1000000"], "--n 1000000 exceeds the limit 131072"),
         ],
     )
     def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):
-        monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
+        census_n, census_k = LARGEST["census", "--n"], LARGEST["census", "--k"]
+        walk_n, rotated = LARGEST["walk-count", "--n"], LARGEST["walk-count", "--n --k"]
+        exact_k = LARGEST[("walk-count", "exact"), "--k"]
+        enum_k = LARGEST["verify-lemma", "--max-k"]
+        listed = LARGEST["verify-lemma", "--n --max-k"]
+        naive_n, naive_k = LARGEST["naive-demo", "--n"], LARGEST["naive-demo", "--k"]
         for name, oversized in (
+            ("class_census", lambda n, pivot, x, y, k: n > census_n or k > census_k),
+            ("count_walks_exact", lambda n, x, y, k: n > walk_n or k > exact_k),
             (
-                "class_census",
-                lambda n, pivot, x, y, k: n > cli._CENSUS_MAX_N or k > cli._CENSUS_MAX_K,
+                "count_walks_parity",
+                lambda n, x, y, k: n > walk_n or (n + 1) * k.bit_length() > rotated,
             ),
-            (
-                "count_walks_exact",
-                lambda n, x, y, k: n > cli._WALK_MAX_N or k > cli._EXACT_MAX_K,
-            ),
-            ("count_walks_parity", lambda n, x, y, k: n > cli._WALK_MAX_N),
             # the first step of check-nilpotent, before nilpotency_index
-            ("path_adjacency", lambda n: n > cli._NILPOTENT_MAX_N),
+            ("path_adjacency", lambda n: n > LARGEST["check-nilpotent", "--n"]),
+            ("theorem_check", lambda m, k, x, y: m > LARGEST["verify-theorem", "--m"]),
+            # verify-lemma and involution-test list walks with the one DFS
+            (
+                "_walks",
+                lambda n, x, k, y: k > enum_k or cli._walks_listed(n, k) > listed,
+            ),
+            ("find_naive_failure", lambda n, k: n > naive_n or k > naive_k),
+            ("charpoly_path", lambda n: n > LARGEST["charpoly", "--n"]),
         ):
             monkeypatch.setattr(cli, name, refusing(getattr(cli, name), name, oversized))
         code, out, err = run_cli(capsys, *argv)
@@ -166,17 +234,49 @@ class TestExitCodes:
         "argv, route",
         [
             (
-                ["walk-count", "--parity", "--n", str(cli._WALK_MAX_N), "--x", "1", "--y", "1",
-                 "--k", "3"],
+                ["walk-count", "--parity", "--n", str(LARGEST["walk-count", "--n"]),
+                 "--x", "1", "--y", "1", "--k", "3"],
                 "count_walks_parity",
             ),
             (
-                ["walk-count", "--exact", "--n", str(cli._WALK_MAX_N), "--x", "1", "--y", "1",
-                 "--k", str(cli._EXACT_MAX_K)],
+                ["walk-count", "--exact", "--n", str(LARGEST["walk-count", "--n"]),
+                 "--x", "1", "--y", "1", "--k", str(LARGEST[("walk-count", "exact"), "--k"])],
                 "count_walks_exact",
             ),
-            (["check-nilpotent", "--m", str(cli._NILPOTENT_MAX_M)], "path_adjacency"),
-            (["check-nilpotent", "--n", str(cli._NILPOTENT_MAX_N)], "path_adjacency"),
+            (["check-nilpotent", "--m", str(LARGEST["check-nilpotent", "--m"])],
+             "path_adjacency"),
+            (["check-nilpotent", "--n", str(LARGEST["check-nilpotent", "--n"])],
+             "path_adjacency"),
+            (["check-nilpotent", "--m", "1"], "path_adjacency"),
+            (
+                # (n + 1) * k.bit_length() is exactly the limit 2^30
+                ["walk-count", "--parity", "--n", str(2**24 - 1), "--x", "1", "--y", "1",
+                 "--k", str(2**64 - 1)],
+                "count_walks_parity",
+            ),
+            (
+                ["walk-count", "--parity", "--n", "1023", "--x", "5", "--y", "700",
+                 "--k", "1000000000000"],
+                "count_walks_parity",
+            ),
+            (["verify-lemma", "--n", "256", "--max-k", "8"], "_walks"),  # 129,104 walks
+            (["verify-lemma", "--n", "1", "--max-k", "24"], "_walks"),
+            (
+                ["verify-theorem", "--m", "20", "--k", str(2**20), "--x", "1", "--y", "1"],
+                "theorem_check",
+            ),
+            (["involution-test", "--m", "10", "--k", "6"], "_walks"),  # 129,575 walks
+            (["involution-test", "--m", "2", "--k", "24"], "_walks"),
+            (["involution-test", "--m", "2", "--k", "17"], "_walks"),  # 3,577 walks
+            (
+                ["census", "--n", "1024", "--pivot", "4", "--x", "1", "--y", "1",
+                 "--k", "4096"],
+                "class_census",
+            ),
+            (["naive-demo", "--n", "1024", "--k", "22"], "find_naive_failure"),
+            (["naive-demo", "--n", "15", "--k", "16"], "find_naive_failure"),
+            (["charpoly", "--n", "131072"], "charpoly_path"),
+            (["charpoly", "--n", "0"], "charpoly_path"),
         ],
     )
     def test_size_limits_themselves_are_accepted(self, monkeypatch, argv, route):
@@ -191,17 +291,13 @@ class TestExitCodes:
         with pytest.raises(Reached):
             run(argv)
 
-    def test_cap_refusals_name_the_flag_and_the_variable(self, capsys, monkeypatch):
-        monkeypatch.delenv("NILPATH_ENUM_CAP", raising=False)
-        for argv in (
-            ["verify-lemma", "--n", "3", "--max-k", "99"],
-            ["involution-test", "--m", "3", "--k", "99"],
-            ["naive-demo", "--n", "7", "--k", "99"],
-        ):
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2
-            assert f"{argv[-2]} 99 exceeds the enumeration cap" in err
-            assert "NILPATH_ENUM_CAP" in err
+    def test_walks_row_counts_what_the_search_lists(self):
+        for n in range(1, 9):
+            for k in range(9):
+                listed = sum(1 for x in range(1, n + 1) for _ in cli._walks(n, x, k, None))
+                assert cli._walks_listed(n, k) == listed, (n, k)
+        assert cli._walks_listed(3, 17) == 3577
+        assert cli._walks_listed(15, 20) == 18788741
 
 
 class TestCheckNilpotent:
@@ -216,6 +312,10 @@ class TestCheckNilpotent:
         code, parsed, _ = run_json(capsys, "check-nilpotent", "--n", "15")
         assert code == 0
         assert parsed["parameters"]["m"] == 4
+        # m is tagged only when n + 1 is a power of two
+        for n, m in ((1, 1), (7, 3), (255, 8), (2, None), (6, None)):
+            _, parsed, _ = run_json(capsys, "check-nilpotent", "--n", str(n))
+            assert parsed["parameters"] == {"m": m, "n": n}
 
     def test_m_and_n_conflict(self, capsys):
         assert run_cli(capsys, "check-nilpotent", "--m", "3", "--n", "7")[0] == 2
@@ -334,7 +434,7 @@ class TestVerifyLemma:
     def test_cap_guard(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemma", "--n", "3", "--max-k", "99")
         assert code == 2
-        assert "cap" in err
+        assert "--max-k 99 exceeds the limit 24" in err
 
     def test_one_dfs_per_start_vertex(self, capsys, monkeypatch):
         import nilpath.walks
@@ -405,9 +505,10 @@ class TestVerifyTheorem:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert "--m 21" in err and str(cli._THEOREM_MAX_M) in err
+        largest = LARGEST["verify-theorem", "--m"]
+        assert "--m 21" in err and str(largest) in err
         # the limit itself, and any length, still reach the census
-        for m, k in ((cli._THEOREM_MAX_M, 2**cli._THEOREM_MAX_M), (3, 10**300)):
+        for m, k in ((largest, 2**largest), (3, 10**300)):
             with pytest.raises(CensusStarted):
                 run(["verify-theorem", "--m", str(m), "--k", str(k), *point])
 
@@ -524,7 +625,9 @@ class TestInvolutionTest:
         assert rows["image preserves start, end, length, class"] == 0
 
     def test_cap_guard(self, capsys):
-        assert run_cli(capsys, "involution-test", "--m", "3", "--k", "99")[0] == 2
+        code, _, err = run_cli(capsys, "involution-test", "--m", "3", "--k", "99")
+        assert code == 2
+        assert "--k 99 exceeds the limit 24" in err
 
     def test_each_walk_is_validated_once(self, capsys, monkeypatch):
         checked = []
@@ -576,7 +679,7 @@ class TestCensus:
         assert (row["expected"], row["observed"]) == (8, 16)
 
     def test_the_limits_themselves_are_accepted(self, capsys):
-        for n, k in ((cli._CENSUS_MAX_N, 3), (7, cli._CENSUS_MAX_K)):
+        for n, k in ((LARGEST["census", "--n"], 3), (7, LARGEST["census", "--k"])):
             code, parsed, _ = run_json(
                 capsys, "census", "--n", str(n), "--pivot", "4", "--x", "1", "--y", "1",
                 "--k", str(k),
@@ -623,24 +726,6 @@ class TestNaiveDemo:
         assert code == 1
         assert rows["reflecting at the naive pivot"] == "stayed in bounds"
         assert "escape detail" not in rows
-
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("NILPATH_ENUM_CAP", "3")
-        code, _, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
-        assert code == 2
-        assert "cap" in err
-
-    def test_env_cap_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("NILPATH_ENUM_CAP", "lots")
-        code, _, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
-        assert code == 2
-        assert "NILPATH_ENUM_CAP" in err
-
-    def test_env_cap_must_be_non_negative(self, capsys, monkeypatch):
-        monkeypatch.setenv("NILPATH_ENUM_CAP", "-1")
-        code, out, err = run_cli(capsys, "naive-demo", "--n", "7", "--k", "7")
-        assert (code, out) == (2, "")
-        assert "NILPATH_ENUM_CAP must be non-negative, got -1" in err
 
 
 class TestCharpolyCommand:

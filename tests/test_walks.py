@@ -8,7 +8,6 @@ from nilpath.gf2 import mat_from_entries, mat_pow, zero
 from nilpath.walks import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
-    PathSpec,
     Walk,
     _family_parity,
     _parity_vector,
@@ -40,31 +39,6 @@ def exact_count_cases(draw):
         | st.integers(0, 3000)
     )
     return n, x, y, k
-
-
-class TestPathSpec:
-    def test_from_m(self):
-        spec = PathSpec.from_m(3)
-        assert (spec.n, spec.m) == (7, 3)
-
-    def test_from_n_recognizes_power_of_two_minus_one(self):
-        assert PathSpec.from_n(7).m == 3
-        assert PathSpec.from_n(1).m == 1
-        assert PathSpec.from_n(255).m == 8
-
-    def test_from_n_leaves_other_sizes_untagged(self):
-        assert PathSpec.from_n(6).m is None
-        assert PathSpec.from_n(2).m is None
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PathSpec.from_m(0)
-        with pytest.raises(ValueError):
-            PathSpec.from_n(0)
-
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError):
-            PathSpec(6, 3)
 
 
 class TestWalk:
