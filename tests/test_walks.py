@@ -1,9 +1,11 @@
+import json
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilpath.cli import run
 from nilpath.gf2 import mat_from_entries, mat_pow, zero
 from nilpath.walks import (
     DEFAULT_ENUM_CAP,
@@ -39,6 +41,26 @@ def exact_count_cases(draw):
         | st.integers(0, 3000)
     )
     return n, x, y, k
+
+
+class TestPathSpec:
+    """The path spec of `check-nilpotent --n`: its m tag is set only when
+    n = 2^m - 1, the sizes the paper's theorem speaks about."""
+
+    @staticmethod
+    def parameters(capsys, n):
+        # a size off the 2^m - 1 family may report a failed check (exit 1)
+        assert run(["check-nilpotent", "--n", str(n), "--format", "json"]) in (0, 1)
+        return json.loads(capsys.readouterr().out)["parameters"]
+
+    def test_from_n_recognizes_power_of_two_minus_one(self, capsys):
+        assert self.parameters(capsys, 7) == {"m": 3, "n": 7}
+        assert self.parameters(capsys, 1) == {"m": 1, "n": 1}
+        assert self.parameters(capsys, 255) == {"m": 8, "n": 255}
+
+    def test_from_n_leaves_other_sizes_untagged(self, capsys):
+        assert self.parameters(capsys, 6) == {"m": None, "n": 6}
+        assert self.parameters(capsys, 2) == {"m": None, "n": 2}
 
 
 class TestWalk:
