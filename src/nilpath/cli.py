@@ -32,15 +32,14 @@ from .proofcheck import (
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
     DEFAULT_ENUM_CAP,
-    Walk,
     _count_vectors,
+    _integer_powers,
+    _is_walk,
     _parity_vector,
     _walks,
     count_walks_exact,
     count_walks_parity,
-    integer_adjacency_power,
     path_adjacency,
-    walk_is_valid,
 )
 
 __all__ = ["run", "console_main"]
@@ -75,7 +74,7 @@ _LIMITS: dict[object, list[tuple]] = {
     ],
     # a sum of binomials of up to k bits: 0.7 s at the limit
     ("walk-count", "exact"): [("--k", 0, 2**15)],
-    # one matrix power and n^2 exact counts per length: 1.7 s at --n 256
+    # one matrix product and n^2 exact counts per length: 1.5 s at --n 256
     # --max-k 8, which lists 129,104 walks
     "verify-lemma": [
         ("--n", 1, 256),
@@ -84,7 +83,7 @@ _LIMITS: dict[object, list[tuple]] = {
     ],
     # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
     "verify-theorem": [("--m", 1, 20)],
-    # --m 1 has a single vertex and no midpoint to reflect across; 1.6 s
+    # --m 1 has a single vertex and no midpoint to reflect across; 0.35 s
     # at --m 10 --k 6, which lists 129,575 walks
     "involution-test": [
         ("--m", 2, 10),
@@ -95,7 +94,8 @@ _LIMITS: dict[object, list[tuple]] = {
     # k + 1 exact counts of up to k bits per stream, all printed in
     # decimal: 2.2 s at --n 1024 --k 4096
     "census": [("--n", 1, 1024), ("--k", 0, 4096)],
-    # no walks row: the scan stops at its first witness; 2 s at --n 7 --k 22
+    # no walks row: the scan stops at its first witness; 2.1 s at --n 7
+    # --k 22, and 0.3 s at --n 1022 --k 0, where no witness exists
     "naive-demo": [("--n", 1, 1024), ("--k", 0, 22)],
     # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
     "charpoly": [("--n", 0, 2**17)],
@@ -225,8 +225,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
     for x in range(1, n + 1):
         listed.update((len(vs) - 1, x, vs[-1]) for vs in _walks(n, x, max_k, None))
     details = []
-    for k in range(max_k + 1):
-        power = integer_adjacency_power(n, k)
+    for k, power in enumerate(_integer_powers(n, max_k)):
         mismatches = 0
         walks_seen = 0
         for x in range(1, n + 1):
@@ -295,23 +294,22 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
         for vs in _walks(n, start, k, None):
             if vs.count(pivot) < 2:
                 continue
-            walk = Walk(vs)
             tested += 1
-            image = _reflect(n, walk, pivot)
-            if image == walk:
+            image = _reflect(n, vs, pivot)
+            if image == vs:
                 bad_fixed += 1
             # the checks below and _reflect take valid walks only
-            if not walk_is_valid(n, image):
+            if not _is_walk(n, image):
                 bad_walk += 1
                 continue
             if not (
-                image.start == walk.start
-                and image.end == walk.end
-                and image.length == walk.length
-                and image.vertices.count(pivot) >= 2
+                image[0] == vs[0]
+                and image[-1] == vs[-1]
+                and len(image) == len(vs)
+                and image.count(pivot) >= 2
             ):
                 bad_preserve += 1
-            if _reflect(n, image, pivot) != walk:
+            if _reflect(n, image, pivot) != vs:
                 bad_double += 1
     src = f"all class-3 walks of length <= {k}, pivot {pivot}"
     details = [

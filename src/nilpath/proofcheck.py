@@ -156,22 +156,25 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
             f"walk {walk} visits pivot {pivot} {wc.pivot_visits} times, "
             "need at least two"
         )
-    return _reflect(n, walk, pivot)
+    return Walk(_reflect(n, walk.vertices, pivot))
 
 
-def _reflect(n: int, walk: Walk, pivot: int) -> Walk:
-    """``reflect_class3`` without its checks: walk must visit pivot twice."""
-    vs = list(walk.vertices)
+def _reflect(n: int, vs: tuple[int, ...], pivot: int) -> tuple[int, ...]:
+    """``reflect_class3`` without its checks, on a vertex tuple.
+
+    vs must visit pivot at least twice. On an escape, the message names the
+    first vertex of the segment whose mirror leaves 1..n.
+    """
     first = vs.index(pivot)
     second = vs.index(pivot, first + 1)
-    for t in range(first + 1, second):
-        mirrored = 2 * pivot - vs[t]
-        if not 1 <= mirrored <= n:
-            raise ReflectionOutOfBounds(
-                f"vertex {vs[t]} reflects to {mirrored}, outside 1..{n}"
-            )
-        vs[t] = mirrored
-    return Walk(tuple(vs))
+    segment = vs[first + 1 : second]
+    # a list, not tuple(map(...)): that has no length hint, so it resizes a
+    # spare tuple of another length, and the tuple free lists grow per call
+    mirrored = [*map((2 * pivot).__sub__, segment)]
+    if mirrored and not (1 <= min(mirrored) and max(mirrored) <= n):
+        v, u = next((v, u) for v, u in zip(segment, mirrored) if not 1 <= u <= n)
+        raise ReflectionOutOfBounds(f"vertex {v} reflects to {u}, outside 1..{n}")
+    return vs[: first + 1] + tuple(mirrored) + vs[second:]
 
 
 def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
@@ -413,19 +416,25 @@ def naive_pivot(walk: Walk) -> int | None:
     maximal, then the one whose second visit comes first. None when no
     vertex repeats.
     """
+    return _naive_pivot(walk.vertices)
+
+
+def _naive_pivot(vs: tuple[int, ...]) -> int | None:
+    """``naive_pivot`` on a vertex tuple, in one pass.
+
+    v & -v is the largest power of 2 dividing v, so it orders vertices as
+    their 2-exponents do. Only a strictly larger one replaces the pivot
+    found so far, so the earliest second visit wins a tie.
+    """
     seen: set[int] = set()
-    # keys in second-visit order, so max keeps the earliest maximal vertex
-    repeated: dict[int, None] = {}
-    for v in walk.vertices:
+    pivot, pivot_low = None, -1
+    for v in vs:
         if v in seen:
-            repeated[v] = None
+            if v & -v > pivot_low:
+                pivot, pivot_low = v, v & -v
         else:
             seen.add(v)
-    return max(repeated, key=_two_exponent, default=None)
-
-
-def _two_exponent(v: int) -> int:
-    return (v & -v).bit_length() - 1
+    return pivot
 
 
 def naive_reflect(n: int, walk: Walk) -> Walk:
@@ -458,11 +467,12 @@ def find_naive_failure(
     _check_cap(k, cap)
     for start in range(1, n + 1):
         for walk in iter_walks_from(n, start, k):
-            pivot = naive_pivot(walk)
+            vs = walk.vertices
+            pivot = _naive_pivot(vs)
             if pivot is None:
                 continue
             try:
-                _reflect(n, walk, pivot)
+                _reflect(n, vs, pivot)
             except ReflectionOutOfBounds:
                 return walk
     return None

@@ -10,9 +10,14 @@ backs them all at small sizes.
 
 This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
-every node of its search tree, so one pass from a start vertex lists the
-walks of every length up to k, and every walk listing, with or without a
-fixed end vertex, picks its nodes from it. ``_count_vectors`` is the
+every node of its search tree as a plain vertex tuple, so one pass from a
+start vertex lists the walks of every length up to k, and every walk
+listing, with or without a fixed end vertex, picks its nodes from it. The
+enumerating commands keep those tuples to the end, checking them with
+``_is_walk``, the tuple form of ``walk_is_valid``; a ``Walk`` is built only
+for callers of the public listings. ``_integer_powers`` yields the integer
+adjacency powers one product apart, for the reference route of
+``verify-lemma`` and for ``integer_adjacency_power``. ``_count_vectors`` is the
 single counting step, behind the exact three-class census, which passes
 the vertex its walks must avoid, the class-2 count from side segments,
 and the command line's estimate of how many walks an enumeration lists.
@@ -117,7 +122,11 @@ def path_adjacency(n: int) -> GF2Matrix:
 
 def walk_is_valid(n: int, walk: Walk) -> bool:
     """True iff all vertices lie in 1..n and every step moves by exactly 1."""
-    vs = walk.vertices
+    return _is_walk(n, walk.vertices)
+
+
+def _is_walk(n: int, vs: tuple[int, ...]) -> bool:
+    """``walk_is_valid`` on a non-empty vertex tuple."""
     # min, max, map and the set comparison all run in C
     return 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
 
@@ -133,27 +142,33 @@ def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
     and checked once here; the loop prunes only prefixes too far from y
     to get back in time. The caller picks the nodes it needs, such as the
     length-k ones, and arguments are not checked.
+
+    The stack holds the tuples themselves, and a child is its parent plus
+    one vertex, bounded by 1 and n where it is formed, so nothing is
+    built per call and the first node costs O(1) whatever n is. Children
+    of length k are leaves: they are yielded at once, never pushed.
     """
     if y is not None and (abs(x - y) > k or (k - x + y) % 2):
         return
-    nbrs = [()] + [
-        tuple(u for u in (v - 1, v + 1) if 1 <= u <= n) for v in range(1, n + 1)
-    ]
-    yield (x,)
-    path = [x]
-    stack = [iter(nbrs[x])] if k else []
+    stack = [(x,)]
     while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            path.pop()
-        elif y is None or abs(v - y) <= k - len(path):
-            path.append(v)
-            yield tuple(path)
-            if len(path) > k:
-                path.pop()
-            else:
-                stack.append(iter(nbrs[v]))
+        w = stack.pop()
+        yield w
+        room = k - len(w)  # steps left after a child's step
+        if room < 0:
+            continue  # k = 0: the start is the only node
+        v = w[-1]
+        if room:
+            # pushed in reverse, so the lower child comes off first
+            if v < n and (y is None or abs(v + 1 - y) <= room):
+                stack.append(w + (v + 1,))
+            if v > 1 and (y is None or abs(v - 1 - y) <= room):
+                stack.append(w + (v - 1,))
+        else:
+            if v > 1 and (y is None or abs(v - 1 - y) <= room):
+                yield w + (v - 1,)
+            if v < n and (y is None or abs(v + 1 - y) <= room):
+                yield w + (v + 1,)
 
 
 def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
@@ -311,19 +326,37 @@ def integer_adjacency_power(n: int, k: int) -> list[list[int]]:
     _check_args(n)
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
+    for power in _integer_powers(n, k):
+        pass
+    return power
+
+
+def _integer_powers(n: int, k: int) -> Iterator[list[list[int]]]:
+    """Yield the integer adjacency powers A^0, A^1, ..., A^k in turn.
+
+    Each is the one before times A, so listing every power up to k takes k
+    products. Arguments are not checked.
+    """
     adj = [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    yield power
     for _ in range(k):
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = out[i]
-            target = nxt[i]
-            for z in range(n):
-                c = row[z]
-                if c:
-                    arow = adj[z]
-                    for j in range(n):
-                        if arow[j]:
-                            target[j] += c
-        out = nxt
+        power = _times_adjacency(power, adj)
+        yield power
+
+
+def _times_adjacency(power: list[list[int]], adj: list[list[int]]) -> list[list[int]]:
+    """The product power * adj of two square integer matrices, entry by entry."""
+    n = len(adj)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        row = power[i]
+        target = out[i]
+        for z in range(n):
+            c = row[z]
+            if c:
+                arow = adj[z]
+                for j in range(n):
+                    if arow[j]:
+                        target[j] += c
     return out

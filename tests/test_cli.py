@@ -14,7 +14,7 @@ from nilpath import cli
 from nilpath.cli import run
 from nilpath.proofcheck import ClassCensus, class_census
 from nilpath.report import Detail, ParityReport
-from nilpath.walks import Walk, iter_walks_from
+from nilpath.walks import iter_walks_from
 
 
 def run_cli(capsys, *argv):
@@ -470,6 +470,22 @@ class TestVerifyLemma:
         assert provenance[0] == "25 endpoint pairs, 5 walks listed"
         assert provenance[7] == "25 endpoint pairs, 216 walks listed"
 
+    def test_one_product_per_length(self, capsys, monkeypatch):
+        # successive powers come from one chain: k products up to A^k, not
+        # a fresh power per length, which takes k(k + 1)/2 = 28 at k = 7
+        products = []
+        real = nilpath.walks._times_adjacency
+
+        def counting(power, adj):
+            products.append(len(adj))
+            return real(power, adj)
+
+        monkeypatch.setattr(nilpath.walks, "_times_adjacency", counting)
+        code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "5", "--max-k", "7")
+        assert code == 0
+        assert all(d["observed"] == "0 mismatches" for d in parsed["details"])
+        assert products == [5] * 7
+
     def test_a_wrong_count_is_a_mismatch_in_every_pair(self, capsys, monkeypatch):
         real = cli.count_walks_exact
         monkeypatch.setattr(cli, "count_walks_exact", lambda *args: real(*args) + 1)
@@ -576,8 +592,8 @@ class TestInvolutionTest:
         assert run_cli(capsys, "involution-test", "--m", "1", "--k", "3")[0] == 2
 
     def test_invalid_image_is_a_failed_check(self, capsys, monkeypatch):
-        def off_the_path(n, walk, pivot):
-            return Walk((0, *walk.vertices[1:]))
+        def off_the_path(n, vs, pivot):
+            return (0, *vs[1:])
 
         monkeypatch.setattr(cli, "_reflect", off_the_path)
         code, parsed, err = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
@@ -602,10 +618,9 @@ class TestInvolutionTest:
         assert rows["applying twice restores the walk"] == 0
 
     def test_mirroring_the_whole_tail_moves_the_end(self, capsys, monkeypatch):
-        def mirror_tail(n, walk, pivot):
-            vs = walk.vertices
+        def mirror_tail(n, vs, pivot):
             first = vs.index(pivot)
-            return Walk(vs[: first + 1] + tuple(2 * pivot - v for v in vs[first + 1 :]))
+            return vs[: first + 1] + tuple(2 * pivot - v for v in vs[first + 1 :])
 
         rows = self._rows_with_reflection(capsys, monkeypatch, mirror_tail)
         moved = sum(
@@ -622,11 +637,10 @@ class TestInvolutionTest:
     def test_a_one_way_mirror_is_not_an_involution(self, capsys, monkeypatch):
         real = cli._reflect
 
-        def upward_loops_only(n, walk, pivot):
-            vs = walk.vertices
+        def upward_loops_only(n, vs, pivot):
             if vs[vs.index(pivot) + 1] > pivot:
-                return real(n, walk, pivot)
-            return walk
+                return real(n, vs, pivot)
+            return vs
 
         rows = self._rows_with_reflection(capsys, monkeypatch, upward_loops_only)
         # the real reflection pairs upward loops with downward ones
@@ -642,14 +656,15 @@ class TestInvolutionTest:
 
     def test_each_walk_is_validated_once(self, capsys, monkeypatch):
         checked = []
-        real = cli.walk_is_valid
+        real = cli._is_walk
 
-        def counting(n, walk):
-            checked.append(walk)
-            return real(n, walk)
+        def counting(n, vs):
+            checked.append(vs)
+            return real(n, vs)
 
-        monkeypatch.setattr(cli, "walk_is_valid", counting)
-        monkeypatch.setattr(nilpath.proofcheck, "walk_is_valid", counting)
+        # walk_is_valid calls the tuple predicate through the walks module
+        monkeypatch.setattr(cli, "_is_walk", counting)
+        monkeypatch.setattr(nilpath.walks, "_is_walk", counting)
         code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "8")
         rows = {d["check"]: d["observed"] for d in parsed["details"]}
         assert code == 0

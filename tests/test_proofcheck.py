@@ -1,12 +1,13 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilpath.proofcheck import (
     ClassTag,
     ReflectionOutOfBounds,
+    _reflect,
     class2_by_sides,
     class2_decompose,
     class_census,
@@ -158,6 +159,61 @@ class TestReflectClass3:
                 )
                 assert classify(7, image, pivot).tag is ClassTag.CLASS3
                 assert reflect_class3(7, image, pivot) == w
+
+
+@st.composite
+def walks_with_a_repeated_vertex(draw):
+    """(n, walk, pivot) with n <= 15 and pivot visited at least twice.
+
+    Each drawn direction is taken when it stays on the path, else the other
+    one, so every draw is a valid walk; the pivot is any repeated vertex,
+    so it is off-centre in most draws."""
+    n = draw(st.integers(2, 15))
+    vs = [draw(st.integers(1, n))]
+    for up in draw(st.lists(st.booleans(), min_size=2, max_size=30)):
+        v = vs[-1]
+        vs.append(v + 1 if (up and v < n) or v == 1 else v - 1)
+    repeated = sorted(v for v in set(vs) if vs.count(v) >= 2)
+    assume(repeated)
+    return n, Walk(tuple(vs)), draw(st.sampled_from(repeated))
+
+
+def mirror_between_first_two_visits(n, vs, pivot):
+    """The reflection written as a loop: the mirrored walk, or the text of
+    the escape at the first vertex whose mirror leaves 1..n."""
+    vs = list(vs)
+    first = vs.index(pivot)
+    for t in range(first + 1, vs.index(pivot, first + 1)):
+        mirrored = 2 * pivot - vs[t]
+        if not 1 <= mirrored <= n:
+            return f"vertex {vs[t]} reflects to {mirrored}, outside 1..{n}"
+        vs[t] = mirrored
+    return tuple(vs)
+
+
+class TestTupleReflection:
+    @settings(max_examples=300)
+    @given(walks_with_a_repeated_vertex())
+    def test_matches_reflect_class3_and_the_loop(self, case):
+        n, walk, pivot = case
+        expected = mirror_between_first_two_visits(n, walk.vertices, pivot)
+        if isinstance(expected, str):
+            for reflect in (
+                lambda: _reflect(n, walk.vertices, pivot),
+                lambda: reflect_class3(n, walk, pivot),
+            ):
+                with pytest.raises(ReflectionOutOfBounds) as exc:
+                    reflect()
+                assert str(exc.value) == expected
+        else:
+            image = _reflect(n, walk.vertices, pivot)
+            assert image == expected
+            assert Walk(image) == reflect_class3(n, walk, pivot)
+
+    def test_escape_names_the_first_offending_vertex(self):
+        # 4 is the first to leave the path, 5 the farthest
+        with pytest.raises(ReflectionOutOfBounds, match=r"^vertex 4 reflects to 0, "):
+            _reflect(7, (2, 3, 4, 5, 4, 3, 2), 2)
 
 
 class TestClassCensus:

@@ -12,6 +12,7 @@ from nilpath.walks import (
     EnumerationCapExceeded,
     Walk,
     _family_parity,
+    _is_walk,
     _parity_vector,
     _walks,
     count_walks_exact,
@@ -137,10 +138,12 @@ class TestWalkIsValid:
         st.lists(st.sampled_from((-1, 1, -1, 1, 0, 2)), max_size=12),
     )
     def test_matches_the_definition(self, n, start, steps):
-        vs = list(accumulate(steps, initial=start))
+        # valid walks and near-walks: off the path, standing still, jumping
+        vs = tuple(accumulate(steps, initial=start))
         in_range = all(1 <= v <= n for v in vs)
         unit_steps = all(abs(b - a) == 1 for a, b in zip(vs, vs[1:]))
-        assert walk_is_valid(n, Walk(tuple(vs))) == (in_range and unit_steps)
+        assert walk_is_valid(n, Walk(vs)) == (in_range and unit_steps)
+        assert _is_walk(n, vs) == (in_range and unit_steps)
 
 
 class TestIterWalksFrom:
@@ -210,6 +213,16 @@ class TestSearch:
                             for length in range(k + 1)
                         }
                         assert mine == sorted(prefixes), (n, x, k, y)
+
+
+class TestSearchCost:
+    def test_first_nodes_do_not_depend_on_n(self):
+        # a search builds nothing per vertex of the path, so a huge n costs
+        # nothing before the first node
+        assert list(_walks(2**40, 5, 1, None)) == [(5,), (5, 4), (5, 6)]
+        assert list(_walks(2**40, 2**40, 1, 2**40 - 1)) == [
+            (2**40,), (2**40, 2**40 - 1)
+        ]
 
 
 class TestEnumerateWalks:
