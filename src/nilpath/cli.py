@@ -31,7 +31,6 @@ from .proofcheck import (
 )
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
-    DEFAULT_ENUM_CAP,
     _count_vectors,
     _integer_powers,
     _is_walk,
@@ -59,7 +58,11 @@ def _walks_listed(n: int, k: int) -> int:
 # count of the work the command would do, which the refusal states in its
 # unit. Rows run in order, so an estimate only sees flags already in
 # range. walk-count --exact adds the rows keyed by its mode. Times are one
-# process at the largest accepted input, on 2 cores.
+# process at the largest accepted input, on 2 cores. The two enumerating
+# commands keep a fixed length bound of 24 before their walks rows: the
+# walks-listed estimate costs O(nk), so it must only see an in-range k, and
+# a path of one or two vertices lists few walks at any length, so its walks
+# row alone would never refuse.
 _LIMITS: dict[object, list[tuple]] = {
     # the n x n matrix and its powers as n-bit rows: --n 32767 takes 3.6 to
     # 4.6 s and 420 MiB; --m is checked before 2^m is formed
@@ -78,7 +81,7 @@ _LIMITS: dict[object, list[tuple]] = {
     # --max-k 8, which lists 129,104 walks
     "verify-lemma": [
         ("--n", 1, 256),
-        ("--max-k", 0, DEFAULT_ENUM_CAP),
+        ("--max-k", 0, 24),
         ("--n --max-k", None, 2**17, _walks_listed, "lists {} walks"),
     ],
     # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
@@ -87,7 +90,7 @@ _LIMITS: dict[object, list[tuple]] = {
     # at --m 10 --k 6, which lists 129,575 walks
     "involution-test": [
         ("--m", 2, 10),
-        ("--k", 0, DEFAULT_ENUM_CAP),
+        ("--k", 0, 24),
         ("--m --k", None, 2**17, lambda m, k: _walks_listed(2**m - 1, k),
          "lists {} walks"),
     ],
@@ -100,10 +103,6 @@ _LIMITS: dict[object, list[tuple]] = {
     # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
     "charpoly": [("--n", 0, 2**17)],
 }
-
-
-class _UsageError(Exception):
-    """Parameter problem detected after argparse; message goes to stderr."""
 
 
 def _check_limits(args: argparse.Namespace) -> None:
@@ -119,15 +118,15 @@ def _check_limits(args: argparse.Namespace) -> None:
             value = estimate(*values)
             if value > largest:
                 stated = " ".join(f"{name} {v}" for name, v in zip(names, values))
-                raise _UsageError(
+                raise ValueError(
                     f"{stated} {unit.format(value)}, above the limit {largest}"
                 )
         else:
             (value,) = values
             if least is not None and value < least:
-                raise _UsageError(f"{flags} must be at least {least}, got {value}")
+                raise ValueError(f"{flags} must be at least {least}, got {value}")
             if largest is not None and value > largest:
-                raise _UsageError(f"{flags} {value} exceeds the limit {largest}")
+                raise ValueError(f"{flags} {value} exceeds the limit {largest}")
 
 
 def _value_row(check: str, value: object, provenance: str) -> Detail:
@@ -249,7 +248,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
 def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
     if args.all:
         if any(v is not None for v in (args.m, args.k, args.x, args.y)):
-            raise _UsageError("--all cannot be combined with --m/--k/--x/--y")
+            raise ValueError("--all cannot be combined with --m/--k/--x/--y")
         details = []
         for m in range(1, 5):
             n = 2**m - 1
@@ -275,9 +274,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
         if v is None
     ]
     if missing:
-        raise _UsageError(
-            f"verify-theorem needs {' '.join(missing)} (or --all)"
-        )
+        raise ValueError(f"needs {' '.join(missing)} (or --all)")
     return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
 
 
@@ -564,7 +561,7 @@ def run(argv: Sequence[str]) -> int:
         _check_limits(args)
         started = time.perf_counter()
         report = args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)
         return 2
     report = report.with_elapsed((time.perf_counter() - started) * 1000.0)

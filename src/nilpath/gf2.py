@@ -84,10 +84,8 @@ def mat_from_entries(n: int, entries: Callable[[int, int], int]) -> GF2Matrix:
     """Build a matrix from a 1-based entry predicate.
 
     ``entries(i, j)`` is evaluated for every pair 1 <= i, j <= n and any
-    truthy value sets the bit.
+    truthy value sets the bit. ``GF2Matrix`` refuses n < 1.
     """
-    if n < 1:
-        raise ValueError(f"matrix dimension must be at least 1, got {n}")
     rows = []
     for i in range(1, n + 1):
         row = 0

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 from .report import Detail, ParityReport
 from .walks import (
-    DEFAULT_ENUM_CAP,
     Walk,
     _check_args,
-    _check_cap,
     _count_vectors,
     _family_parity,
     count_walks_parity,
@@ -445,26 +443,27 @@ def naive_reflect(n: int, walk: Walk) -> Walk:
     middle of the path, so the mirrored segment can leave 1..n, in which
     case this raises ReflectionOutOfBounds. That failure is the reason the
     certified argument splits class 2 instead of reflecting across any
-    repeated vertex.
+    repeated vertex. The walk is validated once: a repeated vertex of a
+    valid walk is a vertex of the path visited twice, so the checks of
+    ``reflect_class3`` would hold, and the unchecked core ``_reflect`` does
+    the mirroring.
     """
     _require_valid(n, walk)
     pivot = naive_pivot(walk)
     if pivot is None:
         raise ValueError(f"walk {walk} has no repeated vertex to reflect around")
-    return reflect_class3(n, walk, pivot)
+    return Walk(_reflect(n, walk.vertices, pivot))
 
 
-def find_naive_failure(
-    n: int, k: int, cap: int = DEFAULT_ENUM_CAP
-) -> Walk | None:
+def find_naive_failure(n: int, k: int) -> Walk | None:
     """First length-k walk (lexicographically) whose naive reflection escapes.
 
     Scans every walk of length k in the n-path in lexicographic order and
     returns the first one where ``naive_reflect`` leaves 1..n, or None when
-    the naive method happens to work everywhere at this size.
+    the naive method happens to work everywhere at this size. No length is
+    refused; the scan lists up to n * 2^k walks before it finds a witness.
     """
     _check_args(n, k)
-    _check_cap(k, cap)
     for start in range(1, n + 1):
         for walk in iter_walks_from(n, start, k):
             vs = walk.vertices

@@ -23,8 +23,9 @@ the vertex its walks must avoid, the class-2 count from side segments,
 and the command line's estimate of how many walks an enumeration lists.
 ``_family_parity`` is the image sum read mod 2 in closed form on paths of
 2^q - 1 vertices, behind the class parities of ``theorem_check``.
-``_check_args`` and ``_check_cap`` validate the walk arguments of the
-functions in both modules.
+``_check_args`` validates the walk arguments of the functions in both
+modules; it checks validity only, and sizes are limited by the command
+line alone.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from typing import Iterator
 from .gf2 import GF2Matrix
 
 __all__ = [
-    "DEFAULT_ENUM_CAP",
-    "EnumerationCapExceeded",
     "Walk",
     "path_adjacency",
     "walk_is_valid",
@@ -48,15 +47,6 @@ __all__ = [
     "count_walks_parity",
     "integer_adjacency_power",
 ]
-
-# Enumeration refuses lengths above this unless the caller raises the cap:
-# the number of walks grows like 2^k.
-DEFAULT_ENUM_CAP = 24
-
-
-class EnumerationCapExceeded(Exception):
-    """Requested walk length exceeds the configured enumeration cap."""
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -99,11 +89,6 @@ def _check_args(n: int, k: int = 0, **vertices: int) -> None:
             raise ValueError(f"{name} = {v} is outside 1..{n}")
     if k < 0:
         raise ValueError(f"walk length must be non-negative, got {k}")
-
-
-def _check_cap(k: int, cap: int) -> None:
-    if k > cap:
-        raise EnumerationCapExceeded(f"length {k} exceeds the enumeration cap {cap}")
 
 
 def path_adjacency(n: int) -> GF2Matrix:
@@ -180,17 +165,15 @@ def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
     return (Walk(vs) for vs in _walks(n, x, k, None) if len(vs) > k)
 
 
-def enumerate_walks(
-    n: int, x: int, y: int, k: int, cap: int = DEFAULT_ENUM_CAP
-) -> list[Walk]:
+def enumerate_walks(n: int, x: int, y: int, k: int) -> list[Walk]:
     """All length-k walks from x to y, in lexicographic order of vertex tuples.
 
-    Raises EnumerationCapExceeded for k > cap; there can be up to 2^k walks.
     The search prunes any prefix that cannot reach y in the remaining steps
     (too far away, or wrong parity), so the cost is linear in the output.
+    There can be up to 2^k walks, and no length is refused: a path of one
+    or two vertices has at most one walk per length.
     """
     _check_args(n, k, x=x, y=y)
-    _check_cap(k, cap)
     return [Walk(vs) for vs in _walks(n, x, k, y) if len(vs) > k]
 
 
@@ -323,9 +306,7 @@ def integer_adjacency_power(n: int, k: int) -> list[list[int]]:
     route that the fast counters are checked against, entry by entry
     (entry (x-1, y-1) is the exact number of length-k walks from x to y).
     """
-    _check_args(n)
-    if k < 0:
-        raise ValueError(f"exponent must be non-negative, got {k}")
+    _check_args(n, k)
     for power in _integer_powers(n, k):
         pass
     return power

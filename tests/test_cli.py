@@ -555,8 +555,16 @@ class TestVerifyTheorem:
         assert parsed["verdict"] == "pass"
 
     def test_all_flag_conflicts_with_point_query(self, capsys):
-        code, _, _ = run_cli(capsys, "verify-theorem", "--all", "--m", "2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "verify-theorem", "--all", "--m", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "nilpath verify-theorem: --all cannot be combined with --m/--k/--x/--y\n"
+        )
+
+    def test_missing_point_flags_are_named_once(self, capsys):
+        code, out, err = run_cli(capsys, "verify-theorem", "--m", "3")
+        assert (code, out) == (2, "")
+        assert err == "nilpath verify-theorem: needs --k --x --y (or --all)\n"
 
     def test_full_sweep(self, capsys):
         code, parsed, _ = run_json(capsys, "verify-theorem", "--all")

@@ -544,8 +544,41 @@ class TestNaiveReflect:
             naive_reflect(7, Walk((6, 5, 4, 5, 6)))
 
     def test_rejects_walk_without_repeats(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has no repeated vertex"):
             naive_reflect(7, Walk((1, 2, 3)))
+
+    def test_rejects_invalid_walk(self):
+        with pytest.raises(ValueError, match="is not a valid walk in the 7-path"):
+            naive_reflect(7, Walk((3, 5, 3)))
+
+    def test_validates_the_walk_once(self, monkeypatch):
+        import nilpath.walks
+
+        calls = []
+        real = nilpath.walks._is_walk
+
+        def counting(n, vs):
+            calls.append(vs)
+            return real(n, vs)
+
+        monkeypatch.setattr(nilpath.walks, "_is_walk", counting)
+        assert naive_reflect(7, Walk((3, 4, 5, 4, 3))) == Walk((3, 4, 3, 4, 3))
+        assert calls == [(3, 4, 5, 4, 3)]
+
+    def test_matches_reflect_class3_at_the_naive_pivot(self):
+        def outcome(reflect):
+            try:
+                return reflect()
+            except ReflectionOutOfBounds as exc:
+                return str(exc)
+
+        for k in range(9):
+            for w in walks_of_length(7, k):
+                pivot = naive_pivot(w)
+                if pivot is not None:
+                    assert outcome(lambda: naive_reflect(7, w)) == outcome(
+                        lambda: reflect_class3(7, w, pivot)
+                    ), w
 
     def test_double_application_where_pivot_is_stable(self):
         for k in range(2, 7):
@@ -596,10 +629,9 @@ class TestFindNaiveFailure:
                 naive_reflect(7, w)  # must not raise
 
     def test_respects_cap(self):
-        from nilpath.walks import EnumerationCapExceeded
-
-        with pytest.raises(EnumerationCapExceeded):
-            find_naive_failure(7, 7, cap=6)
+        # no length is refused: on two vertices the first walk of length 30
+        # already escapes, since the pivot 2 mirrors the vertex 1 to 3
+        assert find_naive_failure(2, 30) == Walk((1, 2) * 15 + (1,))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from nilpath.cli import run
 from nilpath.gf2 import mat_from_entries, mat_pow, zero
 from nilpath.walks import (
-    DEFAULT_ENUM_CAP,
-    EnumerationCapExceeded,
     Walk,
     _family_parity,
     _is_walk,
@@ -251,13 +249,15 @@ class TestEnumerateWalks:
             assert w.start == 2 and w.end == 4 and w.length == 8
 
     def test_default_cap(self):
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_walks(4, 1, 1, DEFAULT_ENUM_CAP + 1)
+        # no length is refused: on two vertices a long length lists one walk
+        assert enumerate_walks(2, 1, 1, 100) == [Walk((1, 2) * 50 + (1,))]
 
     def test_cap_override(self):
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_walks(4, 1, 1, 5, cap=4)
-        assert enumerate_walks(4, 1, 1, 4, cap=4) is not None
+        # lengths past the command line's bound of 24 are listed in full
+        for (n, x, y, k), size in (((3, 2, 2, 26), 8192), ((4, 1, 2, 25), 75025)):
+            walks = enumerate_walks(n, x, y, k)
+            assert len(walks) == count_walks_exact(n, x, y, k) == size
+            assert walks[0].length == k
 
     def test_rejects_bad_vertices(self):
         with pytest.raises(ValueError):
