@@ -4,8 +4,10 @@ Every subcommand runs one verification and prints a single report: a
 table by default, or one JSON object / CSV detail rows with ``--format``.
 Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
-an input outside a command's size limits. Every size limit is a row of
-``_LIMITS``, checked once after parsing, before any work starts.
+an input outside a command's size limits. Each subcommand is declared
+once, in ``_COMMANDS``: its flags with their size limits beside them, and
+its work estimates. The parser is built from that table, and the limits
+are checked from it once after parsing, before any work starts.
 """
 
 from __future__ import annotations
@@ -49,84 +51,6 @@ _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 def _walks_listed(n: int, k: int) -> int:
     """Walks of length at most k from every vertex: the sum of 1^T A^t 1."""
     return sum(sum(counts) for counts in _count_vectors(n, None, k))
-
-
-# Every size limit of the command line, checked by _check_limits after
-# parsing and before any handler runs. A row (flags, least, largest) bounds
-# the value of its one flag; None leaves a side open. A row (flags, least,
-# largest, estimate, unit) bounds estimate(*values of its flags) instead, a
-# count of the work the command would do, which the refusal states in its
-# unit. Rows run in order, so an estimate only sees flags already in
-# range. walk-count --exact adds the rows keyed by its mode. Times are one
-# process at the largest accepted input, on 2 cores. The two enumerating
-# commands keep a fixed length bound of 24 before their walks rows: the
-# walks-listed estimate costs O(nk), so it must only see an in-range k, and
-# a path of one or two vertices lists few walks at any length, so its walks
-# row alone would never refuse.
-_LIMITS: dict[object, list[tuple]] = {
-    # the n x n matrix and its powers as n-bit rows: --n 32767 takes 3.6 to
-    # 4.6 s and 420 MiB; --m is checked before 2^m is formed
-    "check-nilpotent": [("--m", 1, 15), ("--n", 1, 2**15 - 1)],
-    # the parity route rotates a 2(n + 1)-bit state for each bit of k:
-    # 0.8 s at --n 16777215 with --k 2^64 - 1
-    "walk-count": [
-        ("--n", 1, 2**24),
-        ("--k", 0, None),
-        ("--n --k", None, 2**30, lambda n, k: (n + 1) * k.bit_length(),
-         "rotates {} state bits"),
-    ],
-    # a sum of binomials of up to k bits: 0.7 s at the limit
-    ("walk-count", "exact"): [("--k", 0, 2**15)],
-    # one matrix product and n^2 exact counts per length: 1.5 s at --n 256
-    # --max-k 8, which lists 129,104 walks
-    "verify-lemma": [
-        ("--n", 1, 256),
-        ("--max-k", 0, 24),
-        ("--n --max-k", None, 2**17, _walks_listed, "lists {} walks"),
-    ],
-    # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
-    "verify-theorem": [("--m", 1, 20)],
-    # --m 1 has a single vertex and no midpoint to reflect across; 0.35 s
-    # at --m 10 --k 6, which lists 129,575 walks
-    "involution-test": [
-        ("--m", 2, 10),
-        ("--k", 0, 24),
-        ("--m --k", None, 2**17, lambda m, k: _walks_listed(2**m - 1, k),
-         "lists {} walks"),
-    ],
-    # k + 1 exact counts of up to k bits per stream, all printed in
-    # decimal: 2.2 s at --n 1024 --k 4096
-    "census": [("--n", 1, 1024), ("--k", 0, 4096)],
-    # no walks row: the scan stops at its first witness; 2.1 s at --n 7
-    # --k 22, and 0.3 s at --n 1022 --k 0, where no witness exists
-    "naive-demo": [("--n", 1, 1024), ("--k", 0, 22)],
-    # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
-    "charpoly": [("--n", 0, 2**17)],
-}
-
-
-def _check_limits(args: argparse.Namespace) -> None:
-    """The one size check: refuse any value outside its row of ``_LIMITS``."""
-    mode = (args.command, getattr(args, "mode", None))
-    for flags, least, largest, *work in _LIMITS[args.command] + _LIMITS.get(mode, []):
-        names = flags.split()
-        values = [getattr(args, name[2:].replace("-", "_")) for name in names]
-        if None in values:
-            continue  # an optional flag left out, as with verify-theorem --all
-        if work:
-            estimate, unit = work
-            value = estimate(*values)
-            if value > largest:
-                stated = " ".join(f"{name} {v}" for name, v in zip(names, values))
-                raise ValueError(
-                    f"{stated} {unit.format(value)}, above the limit {largest}"
-                )
-        else:
-            (value,) = values
-            if least is not None and value < least:
-                raise ValueError(f"{flags} must be at least {least}, got {value}")
-            if largest is not None and value > largest:
-                raise ValueError(f"{flags} {value} exceeds the limit {largest}")
 
 
 def _value_row(check: str, value: object, provenance: str) -> Detail:
@@ -414,9 +338,141 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
     return ParityReport.from_details("charpoly", params, details)
 
 
+# Every subcommand, declared once as (handler, help, flag rows, work rows).
+# _build_parser makes its arguments from the entry, and _check_limits its
+# size checks, after parsing and before the handler runs.
+# - A flag row (flag, least, largest[, keywords]) is an int flag, required
+#   unless its argparse keywords say otherwise, whose value must lie in
+#   least..largest; None leaves a side open.
+# - A row (flag, keywords) is a switch, added with those keywords alone.
+# - A list of rows is a mutually exclusive group, required when its
+#   members are int flags.
+# - A work row (flags, largest, estimate, says) bounds estimate(args), a
+#   count of the work the command would do. The refusal states the values
+#   of its flags, then says, filled in with the estimate and the limit.
+# Work rows run in order after every flag row, so an estimate only sees
+# flags already in range. Times are one process at the largest accepted
+# input, on 2 cores. The two enumerating commands keep a fixed length
+# bound of 24 besides their walks rows: the walks-listed estimate costs
+# O(nk), so it must only see an in-range k, and a path of one or two
+# vertices lists few walks at any length, so its walks row alone would
+# never refuse.
+_LISTS = "lists {value} walks, above the limit {limit}"
+_OPEN = (None, None, {"required": False})  # an unbounded flag that may be left out
+_COMMANDS: dict[str, tuple] = {
+    # the n x n matrix and its powers as n-bit rows: --n 32767 takes 3.6 to
+    # 4.6 s and 420 MiB; --m is checked before 2^m is formed
+    "check-nilpotent": (
+        _cmd_check_nilpotent,
+        "raise the adjacency matrix to the n-th power and inspect it",
+        [[("--m", 1, 15, {"help": "use n = 2^m - 1 vertices"}),
+          ("--n", 1, 2**15 - 1, {"help": "explicit vertex count"})]],
+        [],
+    ),
+    # the parity route rotates a 2(n + 1)-bit state for each bit of k:
+    # 0.8 s at --n 16777215 with --k 2^64 - 1. The exact route sums
+    # binomials of up to k bits, so --exact also bounds --k, last: 0.65 s
+    # at --n 16777216 --k 32767, whose 15 set bits make it the slowest.
+    "walk-count": (
+        _cmd_walk_count,
+        "count walks between two vertices, exactly or mod 2",
+        [("--n", 1, 2**24), ("--x", None, None), ("--y", None, None), ("--k", 0, None),
+         [("--exact", {"dest": "mode", "action": "store_const", "const": "exact",
+                       "default": "exact"}),
+          ("--parity", {"dest": "mode", "action": "store_const", "const": "parity"})]],
+        [("--n --k", 2**30, lambda a: (a.n + 1) * a.k.bit_length(),
+          "rotates {value} state bits, above the limit {limit}"),
+         ("--k", 2**15, lambda a: a.k if a.mode == "exact" else 0,
+          "exceeds the limit {limit}")],
+    ),
+    # one matrix product and n^2 exact counts per length: 1.5 s at --n 256
+    # --max-k 8, which lists 129,104 walks
+    "verify-lemma": (
+        _cmd_verify_lemma,
+        "check count = enumeration = matrix power for k = 0..max-k",
+        [("--n", 1, 256), ("--max-k", 0, 24)],
+        [("--n --max-k", 2**17, lambda a: _walks_listed(a.n, a.max_k), _LISTS)],
+    ),
+    # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
+    "verify-theorem": (
+        _cmd_verify_theorem,
+        "certify even walk counts for k >= n = 2^m - 1",
+        [("--m", 1, 20, {"required": False}), ("--k", *_OPEN), ("--x", *_OPEN),
+         ("--y", *_OPEN),
+         ("--all", {"action": "store_true",
+                    "help": "sweep m <= 4, n <= k <= n + 4, every endpoint pair"})],
+        [],
+    ),
+    # --m 1 has a single vertex and no midpoint to reflect across; 0.35 s
+    # at --m 10 --k 6, which lists 129,575 walks
+    "involution-test": (
+        _cmd_involution_test,
+        "exhaustively test the midpoint reflection on class-3 walks",
+        [("--m", 2, 10), ("--k", 0, 24, {"help": "test lengths 0..k"})],
+        [("--m --k", 2**17, lambda a: _walks_listed(2**a.m - 1, a.k), _LISTS)],
+    ),
+    # k + 1 exact counts of up to k bits per stream, all printed in
+    # decimal: 2.2 s at --n 1024 --k 4096
+    "census": (
+        _cmd_census,
+        "exact class sizes for one (pivot, x, y, k) choice",
+        [("--n", 1, 1024), ("--pivot", None, None), ("--x", None, None),
+         ("--y", None, None), ("--k", 0, 4096)],
+        [],
+    ),
+    # no walks row: the scan stops at its first witness; 2.1 s at --n 7
+    # --k 22, and 0.3 s at --n 1022 --k 0, where no witness exists
+    "naive-demo": (
+        _cmd_naive_demo,
+        "search for a walk where the divisibility-pivot reflection escapes",
+        [("--n", 1, 1024), ("--k", 0, 22)],
+        [],
+    ),
+    # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
+    "charpoly": (
+        _cmd_charpoly,
+        "characteristic polynomial of the path adjacency matrix mod 2",
+        [("--n", 0, 2**17), ("--check-monomial", {"action": "store_true"})],
+        [],
+    ),
+}
+
+
+def _flags(row: tuple | list):
+    """(flag, bounds, keywords) for each flag of a row or group; a switch has
+    no bounds."""
+    for flag, *bounds in row if isinstance(row, list) else [row]:
+        keywords = bounds.pop() if bounds and isinstance(bounds[-1], dict) else {}
+        yield flag, bounds, keywords
+
+
+def _value(args: argparse.Namespace, flag: str) -> object:
+    return getattr(args, flag[2:].replace("-", "_"))  # argparse's own dest
+
+
+def _check_limits(args: argparse.Namespace) -> None:
+    """The one size check: refuse any value outside its row of ``_COMMANDS``."""
+    _, _, rows, work = _COMMANDS[args.command]
+    for row in rows:
+        for flag, bounds, _ in _flags(row):
+            value = _value(args, flag) if bounds else None
+            if value is None:
+                continue  # a switch, or an optional flag left out, as with --all
+            least, largest = bounds
+            if least is not None and value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
+            if largest is not None and value > largest:
+                raise ValueError(f"{flag} {value} exceeds the limit {largest}")
+    for flags, largest, estimate, says in work:
+        value = estimate(args)
+        if value > largest:
+            stated = " ".join(f"{flag} {_value(args, flag)}" for flag in flags.split())
+            raise ValueError(f"{stated} {says.format(value=value, limit=largest)}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+    """The argument parser, built once per process from ``_COMMANDS``.
 
     Parsing never mutates it: each ``parse_args`` call fills a fresh
     namespace from the defaults, so ``run`` calls share nothing else.
@@ -437,97 +493,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "check-nilpotent",
-        parents=[fmt],
-        help="raise the adjacency matrix to the n-th power and inspect it",
-    )
-    size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--m", type=int, help="use n = 2^m - 1 vertices")
-    size.add_argument("--n", type=int, help="explicit vertex count")
-    p.set_defaults(handler=_cmd_check_nilpotent)
-
-    p = sub.add_parser(
-        "walk-count",
-        parents=[fmt],
-        help="count walks between two vertices, exactly or mod 2",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", dest="mode", action="store_const", const="exact", default="exact"
-    )
-    mode.add_argument("--parity", dest="mode", action="store_const", const="parity")
-    p.set_defaults(handler=_cmd_walk_count)
-
-    p = sub.add_parser(
-        "verify-lemma",
-        parents=[fmt],
-        help="check count = enumeration = matrix power for k = 0..max-k",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_verify_lemma)
-
-    p = sub.add_parser(
-        "verify-theorem",
-        parents=[fmt],
-        help="certify even walk counts for k >= n = 2^m - 1",
-    )
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="sweep m <= 4, n <= k <= n + 4, every endpoint pair",
-    )
-    p.set_defaults(handler=_cmd_verify_theorem)
-
-    p = sub.add_parser(
-        "involution-test",
-        parents=[fmt],
-        help="exhaustively test the midpoint reflection on class-3 walks",
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="test lengths 0..k")
-    p.set_defaults(handler=_cmd_involution_test)
-
-    p = sub.add_parser(
-        "census",
-        parents=[fmt],
-        help="exact class sizes for one (pivot, x, y, k) choice",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pivot", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_census)
-
-    p = sub.add_parser(
-        "naive-demo",
-        parents=[fmt],
-        help="search for a walk where the divisibility-pivot reflection escapes",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_naive_demo)
-
-    p = sub.add_parser(
-        "charpoly",
-        parents=[fmt],
-        help="characteristic polynomial of the path adjacency matrix mod 2",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check-monomial", action="store_true")
-    p.set_defaults(handler=_cmd_charpoly)
-
+    for command, (handler, help_text, rows, _) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[fmt], help=help_text)
+        for row in rows:
+            target = p
+            if isinstance(row, list):
+                # argparse requires a group as a whole, never its members
+                ints = all(bounds for _, bounds, _ in _flags(row))
+                target = p.add_mutually_exclusive_group(required=ints)
+            for flag, bounds, keywords in _flags(row):
+                if bounds:
+                    keywords = {"type": int, "required": target is p, **keywords}
+                target.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 

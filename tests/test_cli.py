@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -47,8 +48,21 @@ def no_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-# the largest value of each row of the CLI's limit table
-LARGEST = {(key, row[0]): row[2] for key, rows in cli._LIMITS.items() for row in rows}
+def flag_bounds(command):
+    """(flag, least, largest) of each int flag of a command in ``cli._COMMANDS``."""
+    rows = cli._COMMANDS[command][2]
+    return [(flag, *bounds) for row in rows for flag, bounds, _ in cli._flags(row) if bounds]
+
+
+# the largest value of each bounded flag row and each work row of the CLI's
+# command table, keyed by the command and the flags the row names; the one
+# finite --k bound of walk-count is its --exact work row
+LARGEST = {
+    (command, flag): largest
+    for command in cli._COMMANDS
+    for flag, _, largest in flag_bounds(command)
+    if largest is not None
+} | {(command, row[0]): row[1] for command, spec in cli._COMMANDS.items() for row in spec[3]}
 BIG_K = str(10**1000)
 
 
@@ -88,6 +102,38 @@ class TestExitCodes:
 
     def test_help_is_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (
+                ["walk-count", "--n", "5"],
+                "nilpath walk-count: error: the following arguments are required: "
+                "--x, --y, --k",
+            ),
+            (
+                ["check-nilpotent", "--m", "3", "--n", "7"],
+                "nilpath check-nilpotent: error: argument --n: not allowed with argument --m",
+            ),
+            (
+                ["check-nilpotent"],
+                "nilpath check-nilpotent: error: one of the arguments --m --n is required",
+            ),
+            (
+                ["walk-count", "--n", "7", "--x", "1", "--y", "1", "--k", "2",
+                 "--exact", "--parity"],
+                "nilpath walk-count: error: argument --parity: not allowed with argument "
+                "--exact",
+            ),
+            (["charpoly", "--n", "5", "--bogus"], "nilpath: error: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_errors_keep_the_argparse_message(self, capsys, argv, says):
+        # the usage line above it wraps with the terminal width, so only the
+        # last stderr line is pinned
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == says
 
     def test_domain_error_is_two_with_message(self, capsys):
         code, _, err = run_cli(capsys, "walk-count", "--n", "5", "--x", "9", "--y", "1", "--k", "2")
@@ -195,12 +241,27 @@ class TestExitCodes:
             (["naive-demo", "--n", "7", "--k", "23"], "--k 23 exceeds the limit 22"),
             (["charpoly", "--n", "131073"], "--n 131073 exceeds the limit 131072"),
             (["charpoly", "--n", "1000000"], "--n 1000000 exceeds the limit 131072"),
+            (
+                ["walk-count", "--n", "0", "--x", "1", "--y", "1", "--k", "1"],
+                "--n must be at least 1, got 0",
+            ),
+            (
+                ["census", "--n", "0", "--pivot", "1", "--x", "1", "--y", "1", "--k", "1"],
+                "--n must be at least 1, got 0",
+            ),
+            (["naive-demo", "--n", "0", "--k", "1"], "--n must be at least 1, got 0"),
+            (
+                # the --exact bound on --k is checked after the rotation row
+                ["walk-count", "--exact", "--n", "16777216", "--x", "1", "--y", "1",
+                 "--k", str(2**64 - 1)],
+                "--n 16777216 --k 18446744073709551615 rotates 1073741888 state bits",
+            ),
         ],
     )
     def test_range_and_cap_refusals(self, capsys, monkeypatch, argv, says):
         census_n, census_k = LARGEST["census", "--n"], LARGEST["census", "--k"]
         walk_n, rotated = LARGEST["walk-count", "--n"], LARGEST["walk-count", "--n --k"]
-        exact_k = LARGEST[("walk-count", "exact"), "--k"]
+        exact_k = LARGEST["walk-count", "--k"]
         enum_k = LARGEST["verify-lemma", "--max-k"]
         listed = LARGEST["verify-lemma", "--n --max-k"]
         naive_n, naive_k = LARGEST["naive-demo", "--n"], LARGEST["naive-demo", "--k"]
@@ -240,7 +301,7 @@ class TestExitCodes:
             ),
             (
                 ["walk-count", "--exact", "--n", str(LARGEST["walk-count", "--n"]),
-                 "--x", "1", "--y", "1", "--k", str(LARGEST[("walk-count", "exact"), "--k"])],
+                 "--x", "1", "--y", "1", "--k", str(LARGEST["walk-count", "--k"])],
                 "count_walks_exact",
             ),
             (["check-nilpotent", "--m", str(LARGEST["check-nilpotent", "--m"])],
@@ -313,6 +374,29 @@ class TestExitCodes:
                 assert cli._walks_listed(n, k) == listed, (n, k)
         assert cli._walks_listed(3, 17) == 3577
         assert cli._walks_listed(15, 20) == 18788741
+
+
+class TestReadmeLimits:
+    def test_limits_table_follows_the_command_table(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("Every command also has size limits", 1)[1]
+        rows = [line for line in section.split("\n\n")[1].splitlines() if line.startswith("| `")]
+
+        def number(text):
+            base, _, exponent = text.partition("^")
+            return int(base) ** int(exponent or 1)
+
+        commands, spans = set(), 0
+        for row in rows:
+            command, accepted = (cell.strip() for cell in row.strip("|").split("|")[:2])
+            command = command.strip("`").split()[0]
+            commands.add(command)
+            bounds = {flag: (least, largest) for flag, least, largest in flag_bounds(command)}
+            for flag, least, largest in re.findall(r"`(--[a-z-]+)` (\S+)\.\.([0-9^]+)", accepted):
+                assert bounds[flag] == (number(least), number(largest)), (command, flag)
+                spans += 1
+        assert commands == set(cli._COMMANDS)
+        assert spans == 13
 
 
 class TestCheckNilpotent:
