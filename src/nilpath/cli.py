@@ -6,8 +6,10 @@ Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
 an input outside a command's size limits. Each subcommand is declared
 once, in ``_COMMANDS``: its flags with their size limits beside them, and
-its work estimates. The parser is built from that table, and the limits
-are checked from it once after parsing, before any work starts.
+its work estimates. Each subcommand's parser is built from its entry on
+first use; the top-level parser holds names and help only, and a call that
+starts with a command is parsed by that command's parser alone. The limits
+are checked from the same table once after parsing, before any work starts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .proofcheck import (
 )
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
+    _count_exact,
     _count_vectors,
     _integer_powers,
     _is_walk,
@@ -46,6 +49,9 @@ from .walks import (
 __all__ = ["run", "console_main"]
 
 _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
+# the one flag every subcommand takes, first, in the switch-row form of _COMMANDS
+_FORMAT = ("--format", {"choices": sorted(_RENDERERS), "default": "text",
+                        "help": "report format (default: text)"})
 
 
 def _walks_listed(n: int, k: int) -> int:
@@ -155,7 +161,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
             for y in range(1, n + 1):
                 enumerated = listed[k, x, y]
                 walks_seen += enumerated
-                counted = count_walks_exact(n, x, y, k)
+                counted = _count_exact(n, x, y, k)
                 if not (counted == enumerated == power[x - 1][y - 1]):
                     mismatches += 1
         details.append(
@@ -339,8 +345,9 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
 
 
 # Every subcommand, declared once as (handler, help, flag rows, work rows).
-# _build_parser makes its arguments from the entry, and _check_limits its
-# size checks, after parsing and before the handler runs.
+# _command_parser makes its arguments from the entry, _build_parser lists
+# its name and help, and _check_limits makes its size checks, after parsing
+# and before the handler runs.
 # - A flag row (flag, least, largest[, keywords]) is an int flag, required
 #   unless its argparse keywords say otherwise, whose value must lie in
 #   least..largest; None leaves a side open.
@@ -385,8 +392,8 @@ _COMMANDS: dict[str, tuple] = {
          ("--k", 2**15, lambda a: a.k if a.mode == "exact" else 0,
           "exceeds the limit {limit}")],
     ),
-    # one matrix product and n^2 exact counts per length: 1.5 s at --n 256
-    # --max-k 8, which lists 129,104 walks
+    # one matrix product and n^2 unchecked exact counts per length: 0.9 s at
+    # --n 256 --max-k 8, which lists 129,104 walks
     "verify-lemma": (
         _cmd_verify_lemma,
         "check count = enumeration = matrix power for k = 0..max-k",
@@ -471,11 +478,48 @@ def _check_limits(args: argparse.Namespace) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process from ``_COMMANDS``.
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """One subcommand's parser, built from its ``_COMMANDS`` entry on first use.
 
-    Parsing never mutates it: each ``parse_args`` call fills a fresh
-    namespace from the defaults, so ``run`` calls share nothing else.
+    A call parses with the parser of the command it names, so a process
+    builds only the parsers it uses. Parsing never mutates it: each
+    ``parse_known_args`` call fills a fresh namespace from the defaults, so
+    ``run`` calls share nothing else.
+    """
+    handler, _, rows, _ = _COMMANDS[command]
+    p = argparse.ArgumentParser(prog=f"nilpath {command}")
+    for row in (_FORMAT, *rows):
+        target = p
+        if isinstance(row, list):
+            # argparse requires a group as a whole, never its members
+            ints = all(bounds for _, bounds, _ in _flags(row))
+            target = p.add_mutually_exclusive_group(required=ints)
+        for flag, bounds, keywords in _flags(row):
+            if bounds:
+                keywords = {"type": int, "required": target is p, **keywords}
+            target.add_argument(flag, **keywords)
+    p.set_defaults(handler=handler, command=command)
+    return p
+
+
+class _Deferred(argparse.ArgumentParser):
+    """A subcommand's place in the top-level parser: an empty parser that
+    hands its arguments to the subcommand's own parser. While parsing,
+    argparse asks a subparser only to ``parse_known_args``; help and errors
+    read the names and help alone."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        return _command_parser(self.prog.split()[-1]).parse_known_args(args, namespace)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process from ``_COMMANDS``.
+
+    Each subcommand's parser is built from its entry on first use; the
+    top-level parser holds names and help only. ``run`` calls it only when
+    argv does not start with a command, or to refuse leftover arguments,
+    and it then parses exactly as if it held every subcommand's parser.
     """
     parser = argparse.ArgumentParser(
         prog="nilpath",
@@ -485,28 +529,22 @@ def _build_parser() -> argparse.ArgumentParser:
             "argument behind that fact."
         ),
     )
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format",
-        choices=sorted(_RENDERERS),
-        default="text",
-        help="report format (default: text)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, help_text, rows, _) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[fmt], help=help_text)
-        for row in rows:
-            target = p
-            if isinstance(row, list):
-                # argparse requires a group as a whole, never its members
-                ints = all(bounds for _, bounds, _ in _flags(row))
-                target = p.add_mutually_exclusive_group(required=ints)
-            for flag, bounds, keywords in _flags(row):
-                if bounds:
-                    keywords = {"type": int, "required": target is p, **keywords}
-                target.add_argument(flag, **keywords)
-        p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(command, help=help_text)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv, parsed by its command's parser alone when it
+    starts with a command and leaves nothing over. Anything else, from -h to
+    leftover arguments, is parsed again by the top-level parser, which
+    answers it as it always has."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _render(fmt: str, report: ParityReport) -> str:
@@ -529,9 +567,8 @@ def _render(fmt: str, report: ParityReport) -> str:
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv, run one subcommand, print its report, return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -256,6 +256,13 @@ def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     (n <= 8 with k = 30000), where the divisions dominate.
     """
     _check_args(n, k, x=x, y=y)
+    return _count_exact(n, x, y, k)
+
+
+def _count_exact(n: int, x: int, y: int, k: int) -> int:
+    """The image sum of ``count_walks_exact``: zero for the wrong parity,
+    else the two class sums. Arguments are not checked; ``verify-lemma``
+    calls it for every (x, y, k) of its table, in range by construction."""
     if (k + y - x) % 2:
         return 0
     s = n + 1

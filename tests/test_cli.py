@@ -126,6 +126,16 @@ class TestExitCodes:
                 "--exact",
             ),
             (["charpoly", "--n", "5", "--bogus"], "nilpath: error: unrecognized arguments: --bogus"),
+            # a command after an unknown option is still parsed by its own parser
+            (
+                ["--format=json", "charpoly", "--n", "5"],
+                "nilpath: error: unrecognized arguments: --format=json",
+            ),
+            (
+                ["--bogus", "walk-count", "--n", "5"],
+                "nilpath walk-count: error: the following arguments are required: "
+                "--x, --y, --k",
+            ),
         ],
     )
     def test_usage_errors_keep_the_argparse_message(self, capsys, argv, says):
@@ -376,6 +386,48 @@ class TestExitCodes:
         assert cli._walks_listed(15, 20) == 18788741
 
 
+# one small accepted argv per subcommand
+SMALL = {
+    "check-nilpotent": ["--m", "3"],
+    "walk-count": ["--n", "7", "--x", "3", "--y", "2", "--k", "7"],
+    "verify-lemma": ["--n", "3", "--max-k", "2"],
+    "verify-theorem": ["--m", "3", "--k", "7", "--x", "3", "--y", "2"],
+    "involution-test": ["--m", "3", "--k", "4"],
+    "census": ["--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "8"],
+    "naive-demo": ["--n", "7", "--k", "6"],
+    "charpoly": ["--n", "7"],
+}
+
+
+class TestParsers:
+    def test_a_call_builds_only_its_own_parser(self, capsys):
+        cli._command_parser.cache_clear()
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "census", *SMALL["census"])[0] == 0
+        assert cli._command_parser.cache_info().currsize == 1
+        assert cli._build_parser.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_unknown_flag_is_refused_by_the_top_level(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *SMALL[command], "--bogus")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "nilpath: error: unrecognized arguments: --bogus"
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps usage to the terminal
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: nilpath {command} [-h] [--format {{csv,json,text}}]")
+
+    def test_top_level_help_names_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, err = run_cli(capsys, "-h")
+        assert (code, err) == (0, "")
+        for command, (_, help_text, _, _) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{command} +{re.escape(help_text)}$", out, re.M), command
+
+
 class TestReadmeLimits:
     def test_limits_table_follows_the_command_table(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -571,8 +623,8 @@ class TestVerifyLemma:
         assert products == [5] * 7
 
     def test_a_wrong_count_is_a_mismatch_in_every_pair(self, capsys, monkeypatch):
-        real = cli.count_walks_exact
-        monkeypatch.setattr(cli, "count_walks_exact", lambda *args: real(*args) + 1)
+        real = cli._count_exact
+        monkeypatch.setattr(cli, "_count_exact", lambda *args: real(*args) + 1)
         code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "3", "--max-k", "2")
         assert code == 1
         assert [d["observed"] for d in parsed["details"]] == ["9 mismatches"] * 3
@@ -920,7 +972,7 @@ class TestOutputFormats:
         assert code == 2
 
     def test_no_state_carries_between_runs(self, capsys):
-        # one parser serves every call; defaults must come back each time
+        # a command's one parser serves every call; defaults must come back each time
         walk = ["walk-count", "--n", "7", "--x", "3", "--y", "2", "--k", "7"]
         code, parsed, _ = run_json(capsys, *walk, "--parity")
         assert (code, parsed["parameters"]["mode"]) == (0, "parity")

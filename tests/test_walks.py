@@ -9,6 +9,7 @@ from nilpath.cli import run
 from nilpath.gf2 import mat_from_entries, mat_pow, zero
 from nilpath.walks import (
     Walk,
+    _count_exact,
     _family_parity,
     _is_walk,
     _parity_vector,
@@ -332,6 +333,14 @@ class TestCountWalksExact:
     def test_matches_stepping_oracle(self, case):
         n, x, y, k = case
         assert count_walks_exact(n, x, y, k) == stepping_count(n, x, y, k)
+
+    def test_unchecked_core_equals_the_checked_count(self):
+        # verify-lemma calls the core once per (x, y, k) of its table
+        for n in range(1, 13):
+            for x in range(1, n + 1):
+                for y in range(1, n + 1):
+                    for k in range(31):
+                        assert _count_exact(n, x, y, k) == count_walks_exact(n, x, y, k)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
