@@ -6,10 +6,10 @@ Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
 an input outside a command's size limits. Each subcommand is declared
 once, in ``_COMMANDS``: its flags with their size limits beside them, and
-its work estimates. Each subcommand's parser is built from its entry on
-first use; the top-level parser holds names and help only, and a call that
-starts with a command is parsed by that command's parser alone. The limits
-are checked from the same table once after parsing, before any work starts.
+its work estimates. A well-formed call is read straight from its command's
+entry; argparse, built from the same table on first use, serves help, usage
+errors and any other spelling. The limits are checked from the same table
+once after parsing, before any work starts.
 """
 
 from __future__ import annotations
@@ -345,9 +345,9 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
 
 
 # Every subcommand, declared once as (handler, help, flag rows, work rows).
-# _command_parser makes its arguments from the entry, _build_parser lists
-# its name and help, and _check_limits makes its size checks, after parsing
-# and before the handler runs.
+# _parse and _build_parser make its arguments from the entry, and
+# _check_limits makes its size checks, after parsing and before the handler
+# runs.
 # - A flag row (flag, least, largest[, keywords]) is an int flag, required
 #   unless its argparse keywords say otherwise, whose value must lie in
 #   least..largest; None leaves a side open.
@@ -478,49 +478,10 @@ def _check_limits(args: argparse.Namespace) -> None:
 
 
 @functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """One subcommand's parser, built from its ``_COMMANDS`` entry on first use.
-
-    A call parses with the parser of the command it names, so a process
-    builds only the parsers it uses. Parsing never mutates it: each
-    ``parse_known_args`` call fills a fresh namespace from the defaults, so
-    ``run`` calls share nothing else.
-    """
-    handler, _, rows, _ = _COMMANDS[command]
-    p = argparse.ArgumentParser(prog=f"nilpath {command}")
-    for row in (_FORMAT, *rows):
-        target = p
-        if isinstance(row, list):
-            # argparse requires a group as a whole, never its members
-            ints = all(bounds for _, bounds, _ in _flags(row))
-            target = p.add_mutually_exclusive_group(required=ints)
-        for flag, bounds, keywords in _flags(row):
-            if bounds:
-                keywords = {"type": int, "required": target is p, **keywords}
-            target.add_argument(flag, **keywords)
-    p.set_defaults(handler=handler, command=command)
-    return p
-
-
-class _Deferred(argparse.ArgumentParser):
-    """A subcommand's place in the top-level parser: an empty parser that
-    hands its arguments to the subcommand's own parser. While parsing,
-    argparse asks a subparser only to ``parse_known_args``; help and errors
-    read the names and help alone."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        return _command_parser(self.prog.split()[-1]).parse_known_args(args, namespace)
-
-
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, built once per process from ``_COMMANDS``.
-
-    Each subcommand's parser is built from its entry on first use; the
-    top-level parser holds names and help only. ``run`` calls it only when
-    argv does not start with a command, or to refuse leftover arguments,
-    and it then parses exactly as if it held every subcommand's parser.
-    """
+    """The argparse parser of every subcommand, built once per process from
+    ``_COMMANDS``, and only for argv that ``_parse`` declines: help, usage
+    errors and the spellings of a call that only argparse accepts."""
     parser = argparse.ArgumentParser(
         prog="nilpath",
         description=(
@@ -529,22 +490,71 @@ def _build_parser() -> argparse.ArgumentParser:
             "argument behind that fact."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
-    for command, (_, help_text, _, _) in _COMMANDS.items():
-        sub.add_parser(command, help=help_text)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, help_text, rows, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for row in (_FORMAT, *rows):
+            # argparse requires a group as a whole, never its members
+            ints = all(bounds for _, bounds, _ in _flags(row))
+            target = p.add_mutually_exclusive_group(required=ints) if isinstance(row, list) else p
+            for flag, bounds, keywords in _flags(row):
+                if bounds:
+                    keywords = {"type": int, "required": target is p, **keywords}
+                target.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler, command=command)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of argv, parsed by its command's parser alone when it
-    starts with a command and leaves nothing over. Anything else, from -h to
-    leftover arguments, is parsed again by the top-level parser, which
-    answers it as it always has."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+@functools.cache
+def _table(command: str) -> tuple[dict, dict, set]:
+    """What ``_parse`` needs of a command's ``_COMMANDS`` entry: each flag's
+    dest, what it takes (``int``, its choices, or None for a switch), the
+    value a switch stores and the index of its row; the namespace argparse
+    starts from; and the rows of which one flag must be given."""
+    handler, _, rows, _ = _COMMANDS[command]
+    flags, defaults, required = {}, {}, set()
+    for row, members in enumerate([list(_flags(r)) for r in (_FORMAT, *rows)]):
+        if all(bounds and kw.get("required", True) for _, bounds, kw in members):
+            required.add(row)
+        for flag, bounds, kw in members:
+            dest = kw.get("dest", flag[2:].replace("-", "_"))
+            flags[flag] = (dest, int if bounds else kw.get("choices"), kw.get("const", True), row)
+            # the first flag of a dest sets its default, as in argparse
+            store_true = kw.get("action") == "store_true"
+            defaults.setdefault(dest, kw.get("default", False if store_true else None))
+    return flags, {**defaults, "handler": handler, "command": command}, required
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed call, read straight from
+    its command's ``_COMMANDS`` entry; None for any other argv, which
+    ``run`` hands to argparse to answer as it always has.
+
+    A well-formed call is a command, then exact option strings of that
+    command: an int flag followed by a value that does not start with "-"
+    and that ``int`` accepts, ``--format`` followed by one of its choices,
+    or a switch. At most one flag of each row or group is given, so none
+    twice, and one of each required row or group.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags, defaults, required = _table(argv[0])
+    args, seen, tokens = argparse.Namespace(**defaults), set(), iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flags[flag][3] in seen:
+            return None
+        dest, takes, value, row = flags[flag]
+        seen.add(row)
+        if takes is not None:  # an int flag or --format, not a switch
+            value = next(tokens, "-")
+            if value.startswith("-") or takes is not int and value not in takes:
+                return None
+            try:
+                value = int(value) if takes is int else value
+            except ValueError:
+                return None
+        setattr(args, dest, value)
+    return args if required <= seen else None
 
 
 def _render(fmt: str, report: ParityReport) -> str:
@@ -568,7 +578,7 @@ def _render(fmt: str, report: ParityReport) -> str:
 def run(argv: Sequence[str]) -> int:
     """Parse argv, run one subcommand, print its report, return the exit code."""
     try:
-        args = _parse(list(argv))
+        args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 __all__ = ["Detail", "ParityReport", "render_text", "render_json", "render_csv"]
@@ -102,8 +102,8 @@ def render_text(report: ParityReport) -> str:
             ", ".join(f"{k}={_cell(v)}" for k, v in report.parameters.items())
             or "(none)"
         ),
-        f"verdict:    {report.verdict.upper()}"
-        f"  ({len(report.details)} checks, {report.elapsed_ms:.1f} ms)",
+        f"verdict:    {report.verdict.upper()}  ({len(report.details)} check"
+        f"{'s' * (len(report.details) != 1)}, {report.elapsed_ms:.1f} ms)",
         "",
     ]
     header = ("check", "expected", "observed", "provenance")
@@ -123,9 +123,28 @@ def render_text(report: ParityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value: Any, indent: str = "\n  ") -> str:
+    """``json.dumps(value, indent=2)``, written directly: with ``indent``,
+    json falls back to its pure-Python encoder, which costs more than most
+    checks. Strings and numbers are spelled as json spells them."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        text = (int if isinstance(value, int) else float).__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    # indent starts each item of value; its own brackets sit two spaces left
+    if isinstance(value, dict):
+        items = [f"{_json(k)}: {_json(v, indent + '  ')}" for k, v in value.items()]
+        return f"{{{indent}{(',' + indent).join(items)}{indent[:-2]}}}" if items else "{}"
+    items = [_json(v, indent + "  ") for v in value]
+    return f"[{indent}{(',' + indent).join(items)}{indent[:-2]}]" if items else "[]"
+
+
 def render_json(report: ParityReport) -> str:
     """One JSON object per report, keys in a fixed order."""
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return _json(report.to_json_dict()) + "\n"
 
 
 def render_csv(report: ParityReport) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -399,13 +400,99 @@ SMALL = {
 }
 
 
+def well_formed_calls(command):
+    """Calls of a command built from its ``_COMMANDS`` entry, as (flag, value)
+    pairs with None for a switch: one small call, each bounded flag at least
+    - 1, least, largest and largest + 1, each group member, each switch and
+    each --format choice, each also in a shuffled order."""
+    rng = random.Random(command)
+    base = dict(zip(SMALL[command][::2], SMALL[command][1::2]))
+    calls = [base]
+    for row in cli._COMMANDS[command][2]:
+        members = [flag for flag, _, _ in cli._flags(row)]
+        for flag, bounds, _ in cli._flags(row):
+            # a group member replaces the others
+            call = {f: v for f, v in base.items() if f == flag or f not in members}
+            if not bounds:
+                calls.append({**call, flag: None})
+                continue
+            least, largest = bounds
+            near = [least - 1, least] if least is not None else []
+            near += [largest, largest + 1] if largest is not None else []
+            calls += [{**call, flag: str(value)} for value in near or [5]]
+    calls += [{**base, "--format": choice} for choice in ("csv", "json", "text")]
+    calls += [dict(rng.sample(list(call.items()), len(call))) for call in calls]
+    return [[(flag, value) for flag, value in call.items()] for call in calls]
+
+
+# argv that the table path declines, and argparse's answer to each: None
+# where argparse exits itself, else the exit code and last stderr line of run
+DECLINED = [
+    (["charpoly", "--n", "7", "--check"], (0, None)),  # abbreviation of --check-monomial
+    (["charpoly", "--n=5"], (0, None)),
+    (["check-nilpotent", "--m", "3", "--m", "4"], (0, None)),  # the last value wins
+    (
+        ["walk-count", "--n", "5", "--x", "1", "--y", "1", "--k", "-1"],
+        (2, "nilpath walk-count: --k must be at least 0, got -1"),
+    ),
+    (["charpoly", "--", "--n", "5"], None),
+    (["charpoly", "--n", "5", "--"], None),
+    (["charpoly", "-h"], None),
+    (["-h"], None),
+    ([], None),
+    (["bogus", "--n", "5"], None),
+    (["--format", "json", "charpoly", "--n", "5"], None),
+    (["charpoly", "--n", "5", "--bogus"], None),
+    (["charpoly", "--n", "5", "7"], None),
+    (["walk-count", "--n", "5", "--x", "1", "--y", "1"], None),
+    (["check-nilpotent"], None),
+    (["check-nilpotent", "--m", "3", "--n", "7"], None),
+    (["walk-count", "--n", "5", "--x", "1", "--y", "1", "--k", "1", "--exact", "--parity"], None),
+    (["charpoly", "--n", "5", "--format", "yaml"], None),
+    (["charpoly", "--n", "5", "--format"], None),
+    (["charpoly", "--n", "five"], None),
+    (["charpoly", "--n", ""], None),
+    (["charpoly", "--n"], None),
+    (["charpoly", "--n", "5", "--check-monomial", "1"], None),
+    (["charpoly", "--n", "9" * 4301], None),
+]
+
+
 class TestParsers:
-    def test_a_call_builds_only_its_own_parser(self, capsys):
-        cli._command_parser.cache_clear()
+    def test_a_call_builds_only_its_own_parser(self, capsys, monkeypatch):
+        # a well-formed call is read from the command table: no argparse
+        # parser is built, for any command
         cli._build_parser.cache_clear()
-        assert run_cli(capsys, "census", *SMALL["census"])[0] == 0
-        assert cli._command_parser.cache_info().currsize == 1
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", None)
+        for command, argv in SMALL.items():
+            assert run_cli(capsys, command, *argv, "--format", "json")[0] == 0
         assert cli._build_parser.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_table_path_reads_what_argparse_reads(self, command):
+        calls = well_formed_calls(command)
+        for call in calls:
+            argv = [command, *(token for pair in call for token in pair if token is not None)]
+            args = cli._parse(argv)
+            # of these calls, only those with a value below 0 are declined
+            negative = any(value and value.startswith("-") for _, value in call)
+            assert (args is None) == negative, argv
+            if args is not None:
+                assert args == cli._build_parser().parse_args(argv), argv
+        assert len(calls) >= 12
+
+    @pytest.mark.parametrize("argv, answer", DECLINED)
+    def test_argparse_answers_what_the_table_path_declines(self, capsys, monkeypatch, argv, answer):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps usage to the terminal
+        assert cli._parse(argv) is None
+        code, out, err = run_cli(capsys, *argv)
+        if answer is None:
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser().parse_args(argv)
+            assert (code, out, err) == (exc.value.code, *capsys.readouterr())
+            assert code == 0 or err.splitlines()[-1].startswith("nilpath")
+        else:
+            assert (code, err.splitlines()[-1] if err else None) == answer
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_unknown_flag_is_refused_by_the_top_level(self, capsys, command):

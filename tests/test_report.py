@@ -1,6 +1,12 @@
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
+from http import HTTPStatus
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nilpath.report import Detail, ParityReport, render_csv, render_json, render_text
 
@@ -71,6 +77,13 @@ class TestRenderers:
         row = json.loads(render_json(report))["details"][0]
         assert row["expected"] == row["observed"] == "(1, 2)"
 
+    def test_text_counts_one_check_in_the_singular(self):
+        one = ParityReport.from_details("demo", {}, [Detail("a", 1, 1, "")], 2.0)
+        assert "verdict:    PASS  (1 check, 2.0 ms)" in render_text(one).splitlines()
+        assert "(3 checks, 1.5 ms)" in render_text(sample_report())
+        none = ParityReport.from_details("demo", {}, [], 0.0)
+        assert "(0 checks, 0.0 ms)" in render_text(none)
+
     def test_text_marks_missing_parameters(self):
         report = ParityReport.from_details("demo", {}, [Detail("a", 1, 1, "")])
         assert "parameters: (none)" in render_text(report)
@@ -84,3 +97,64 @@ class TestRenderers:
     def test_csv_renders_none_as_word(self):
         rows = list(csv.reader(io.StringIO(render_csv(sample_report()))))
         assert rows[3][1] == "none"
+
+
+@contextmanager
+def no_int_digit_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# any text, lone surrogates included: json escapes each of them
+TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\ufeff'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+    )
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # nan, inf and -0.0 included
+    TEXT,
+    st.integers().map(lambda i: i * 10**4301),  # beyond the int-to-text digit limit
+    st.tuples(st.integers()),  # rendered as its text
+    st.sampled_from(HTTPStatus),  # an int subclass, spelled as its int value
+)
+REPORTS = st.builds(
+    ParityReport.from_details,
+    TEXT,
+    st.dictionaries(TEXT, LEAVES),
+    st.lists(st.builds(Detail, TEXT, LEAVES, LEAVES, TEXT)),
+    st.floats(),
+)
+
+
+class TestJsonWriter:
+    """``render_json`` writes the layout itself; ``json.dumps`` is its oracle."""
+
+    @given(REPORTS)
+    @example(ParityReport.from_details("", {}, [], 0.0))
+    @example(ParityReport.from_details("demo", {}, [Detail("a", None, None, "")], float("nan")))
+    @example(ParityReport.from_details("\ud800", {"x": float("-inf")}, [], float("inf")))
+    def test_bytes_equal_json_dumps(self, report):
+        with no_int_digit_limit():
+            assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    def test_sample_report_layout(self):
+        assert render_json(sample_report()).splitlines()[:5] == [
+            "{",
+            '  "command": "demo",',
+            '  "parameters": {',
+            '    "n": 7,',
+            '    "flag": true',
+        ]
