@@ -6,10 +6,11 @@ Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
 an input outside a command's size limits. Each subcommand is declared
 once, in ``_COMMANDS``: its flags with their size limits beside them, and
-its work estimates. A well-formed call is read straight from its command's
-entry; argparse, built from the same table on first use, serves help, usage
-errors and any other spelling. The limits are checked from the same table
-once after parsing, before any work starts.
+its work estimates. ``_table`` is the one decoder of an entry, and three
+readers share what it decodes: ``_parse`` reads a well-formed call;
+argparse, built on first use, serves help, usage errors and any other
+spelling; and ``_check_limits`` checks the limits once after parsing,
+before any work starts.
 """
 
 from __future__ import annotations
@@ -345,15 +346,15 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
 
 
 # Every subcommand, declared once as (handler, help, flag rows, work rows).
-# _parse and _build_parser make its arguments from the entry, and
-# _check_limits makes its size checks, after parsing and before the handler
-# runs.
+# _table alone decodes the flag rows, for its three readers: _parse and
+# _build_parser, which make the arguments, and _check_limits, which makes
+# the size checks after parsing and before the handler runs.
 # - A flag row (flag, least, largest[, keywords]) is an int flag, required
 #   unless its argparse keywords say otherwise, whose value must lie in
 #   least..largest; None leaves a side open.
 # - A row (flag, keywords) is a switch, added with those keywords alone.
-# - A list of rows is a mutually exclusive group, required when its
-#   members are int flags.
+# - A list of two or more rows is a mutually exclusive group, required
+#   when its members are int flags.
 # - A work row (flags, largest, estimate, says) bounds estimate(args), a
 #   count of the work the command would do. The refusal states the values
 #   of its flags, then says, filled in with the estimate and the limit.
@@ -445,42 +446,54 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
-def _flags(row: tuple | list):
-    """(flag, bounds, keywords) for each flag of a row or group; a switch has
-    no bounds."""
-    for flag, *bounds in row if isinstance(row, list) else [row]:
-        keywords = bounds.pop() if bounds and isinstance(bounds[-1], dict) else {}
-        yield flag, bounds, keywords
-
-
-def _value(args: argparse.Namespace, flag: str) -> object:
-    return getattr(args, flag[2:].replace("-", "_"))  # argparse's own dest
+@functools.cache
+def _table(command: str) -> tuple[list, dict, dict, set]:
+    """The one decoder of a command's ``_COMMANDS`` entry, ``--format`` row
+    first: each row as (flag, bounds, keywords) members, with no bounds for
+    a switch; each flag's dest, what it takes (``int``, its choices, or None
+    for a switch), the value a switch stores, its row and its bounds; the
+    namespace argparse starts from; and the rows of which one flag must be
+    given."""
+    handler, _, spec, _ = _COMMANDS[command]
+    rows, flags, defaults, required = [], {}, {}, set()
+    for row, entry in enumerate((_FORMAT, *spec)):
+        rows.append([])
+        for flag, *bounds in entry if isinstance(entry, list) else [entry]:
+            kw = bounds.pop() if bounds and isinstance(bounds[-1], dict) else {}
+            rows[row].append((flag, bounds, kw))
+            dest = kw.get("dest", flag[2:].replace("-", "_"))
+            flags[flag] = (dest, int if bounds else kw.get("choices"), kw.get("const", True), row, bounds)
+            # the first flag of a dest sets its default, as in argparse
+            store_true = kw.get("action") == "store_true"
+            defaults.setdefault(dest, kw.get("default", False if store_true else None))
+        if all(bounds and kw.get("required", True) for _, bounds, kw in rows[row]):
+            required.add(row)
+    return rows, flags, {**defaults, "handler": handler, "command": command}, required
 
 
 def _check_limits(args: argparse.Namespace) -> None:
     """The one size check: refuse any value outside its row of ``_COMMANDS``."""
-    _, _, rows, work = _COMMANDS[args.command]
-    for row in rows:
-        for flag, bounds, _ in _flags(row):
-            value = _value(args, flag) if bounds else None
-            if value is None:
-                continue  # a switch, or an optional flag left out, as with --all
-            least, largest = bounds
-            if least is not None and value < least:
-                raise ValueError(f"{flag} must be at least {least}, got {value}")
-            if largest is not None and value > largest:
-                raise ValueError(f"{flag} {value} exceeds the limit {largest}")
-    for flags, largest, estimate, says in work:
+    flags = _table(args.command)[1]
+    for flag, (dest, _, _, _, bounds) in flags.items():
+        value = getattr(args, dest) if bounds else None
+        if value is None:
+            continue  # a switch, or an optional flag left out, as with --all
+        least, largest = bounds
+        if least is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        if largest is not None and value > largest:
+            raise ValueError(f"{flag} {value} exceeds the limit {largest}")
+    for names, largest, estimate, says in _COMMANDS[args.command][3]:
         value = estimate(args)
         if value > largest:
-            stated = " ".join(f"{flag} {_value(args, flag)}" for flag in flags.split())
+            stated = " ".join(f"{flag} {getattr(args, flags[flag][0])}" for flag in names.split())
             raise ValueError(f"{stated} {says.format(value=value, limit=largest)}")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of every subcommand, built once per process from
-    ``_COMMANDS``, and only for argv that ``_parse`` declines: help, usage
+    ``_table``, and only for argv that ``_parse`` declines: help, usage
     errors and the spellings of a call that only argparse accepts."""
     parser = argparse.ArgumentParser(
         prog="nilpath",
@@ -491,38 +504,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, help_text, rows, _) in _COMMANDS.items():
+    for command, (handler, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for row in (_FORMAT, *rows):
+        rows, _, _, required = _table(command)
+        for row, members in enumerate(rows):
             # argparse requires a group as a whole, never its members
-            ints = all(bounds for _, bounds, _ in _flags(row))
-            target = p.add_mutually_exclusive_group(required=ints) if isinstance(row, list) else p
-            for flag, bounds, keywords in _flags(row):
+            group = len(members) > 1 and p.add_mutually_exclusive_group(required=row in required)
+            for flag, bounds, kw in members:
                 if bounds:
-                    keywords = {"type": int, "required": target is p, **keywords}
-                target.add_argument(flag, **keywords)
+                    kw = {"type": int, "required": not group and row in required, **kw}
+                (group or p).add_argument(flag, **kw)
         p.set_defaults(handler=handler, command=command)
     return parser
-
-
-@functools.cache
-def _table(command: str) -> tuple[dict, dict, set]:
-    """What ``_parse`` needs of a command's ``_COMMANDS`` entry: each flag's
-    dest, what it takes (``int``, its choices, or None for a switch), the
-    value a switch stores and the index of its row; the namespace argparse
-    starts from; and the rows of which one flag must be given."""
-    handler, _, rows, _ = _COMMANDS[command]
-    flags, defaults, required = {}, {}, set()
-    for row, members in enumerate([list(_flags(r)) for r in (_FORMAT, *rows)]):
-        if all(bounds and kw.get("required", True) for _, bounds, kw in members):
-            required.add(row)
-        for flag, bounds, kw in members:
-            dest = kw.get("dest", flag[2:].replace("-", "_"))
-            flags[flag] = (dest, int if bounds else kw.get("choices"), kw.get("const", True), row)
-            # the first flag of a dest sets its default, as in argparse
-            store_true = kw.get("action") == "store_true"
-            defaults.setdefault(dest, kw.get("default", False if store_true else None))
-    return flags, {**defaults, "handler": handler, "command": command}, required
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
@@ -538,12 +531,12 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    flags, defaults, required = _table(argv[0])
+    _, flags, defaults, required = _table(argv[0])
     args, seen, tokens = argparse.Namespace(**defaults), set(), iter(argv[1:])
     for flag in tokens:
         if flag not in flags or flags[flag][3] in seen:
             return None
-        dest, takes, value, row = flags[flag]
+        dest, takes, value, row, _ = flags[flag]
         seen.add(row)
         if takes is not None:  # an int flag or --format, not a switch
             value = next(tokens, "-")

@@ -1,16 +1,17 @@
 """Slow, independent reference implementations used only by the tests.
 
 Each function here recomputes something the library computes, by a route
-the library does not share: bit-at-a-time matrix products, recursive walk
-listing, integer and mod-2 counting vectors stepped once per unit of
-length, a symbolic cofactor determinant, and a certificate replay that
-checks every visit offset of every length one at a time. Agreement between
-the two routes is what the tests assert.
+the library does not share: bit-at-a-time matrix products, a GF(2) rank by
+elimination, recursive walk listing, integer and mod-2 counting vectors
+stepped once per unit of length, a symbolic cofactor determinant, and a
+certificate replay that checks every visit offset of every length one at
+a time. Agreement between the two routes is what the tests assert.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add
 
@@ -34,6 +35,24 @@ def naive_mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
             row |= acc << (j - 1)
         rows.append(row)
     return GF2Matrix(n, tuple(rows))
+
+
+def gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of the matrix whose rows are the bit masks ``rows``.
+
+    Gaussian elimination that pivots on the highest set bit: each row is
+    reduced by the kept rows until its top bit is new, then kept. Only the
+    masks are read, so nothing of ``nilpath.gf2`` is used.
+    """
+    pivots: dict[int, int] = {}  # top bit -> the kept row with that top bit
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 def brute_force_walks(n: int, x: int, y: int, k: int) -> list[tuple[int, ...]]:

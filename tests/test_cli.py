@@ -51,8 +51,8 @@ def no_int_digit_limit():
 
 def flag_bounds(command):
     """(flag, least, largest) of each int flag of a command in ``cli._COMMANDS``."""
-    rows = cli._COMMANDS[command][2]
-    return [(flag, *bounds) for row in rows for flag, bounds, _ in cli._flags(row) if bounds]
+    flags = cli._table(command)[1]
+    return [(flag, *spec[4]) for flag, spec in flags.items() if spec[4]]
 
 
 # the largest value of each bounded flag row and each work row of the CLI's
@@ -408,9 +408,9 @@ def well_formed_calls(command):
     rng = random.Random(command)
     base = dict(zip(SMALL[command][::2], SMALL[command][1::2]))
     calls = [base]
-    for row in cli._COMMANDS[command][2]:
-        members = [flag for flag, _, _ in cli._flags(row)]
-        for flag, bounds, _ in cli._flags(row):
+    for row in cli._table(command)[0][1:]:  # the --format row comes first
+        members = [flag for flag, _, _ in row]
+        for flag, bounds, _ in row:
             # a group member replaces the others
             call = {f: v for f, v in base.items() if f == flag or f not in members}
             if not bounds:
@@ -455,6 +455,21 @@ DECLINED = [
     (["charpoly", "--n"], None),
     (["charpoly", "--n", "5", "--check-monomial", "1"], None),
     (["charpoly", "--n", "9" * 4301], None),
+    # over-limit calls that only argparse reads, each refused with the line
+    # its table spelling gets in TestExitCodes::test_range_and_cap_refusals
+    (["charpoly", "--n=1000000"], (2, "nilpath charpoly: --n 1000000 exceeds the limit 131072")),
+    (
+        ["involution-test", "--m=4", "--k", "20"],
+        (2, "nilpath involution-test: --m 4 --k 20 lists 18788741 walks, above the limit 131072"),
+    ),
+    (
+        ["verify-lemma", "--n", "256", "--max-k=9"],
+        (2, "nilpath verify-lemma: --n 256 --max-k 9 lists 258168 walks, above the limit 131072"),
+    ),
+    (
+        ["check-nilpotent", "--m", "3", "--m", "40"],
+        (2, "nilpath check-nilpotent: --m 40 exceeds the limit 15"),
+    ),
 ]
 
 
