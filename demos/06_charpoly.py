@@ -1,9 +1,10 @@
 """The characteristic polynomial knows which paths are nilpotent.
 
 Over a field, a matrix is nilpotent exactly when its characteristic
-polynomial is a bare power of x. For the path adjacency matrix mod 2 the
-polynomial follows a three-term recurrence, so the whole family can be
-scanned fast. The monomials land precisely on n = 2^m - 1.
+polynomial is a bare power of x. The path is a tree, so its polynomial is
+its matching polynomial, and mod 2 Kummer's theorem makes each coefficient
+one bit test, so the whole family can be scanned fast. The monomials land
+precisely on n = 2^m - 1.
 """
 
 from nilpath import charpoly_is_monomial, charpoly_path, nilpotency_index, path_adjacency

@@ -1,13 +1,14 @@
 """Characteristic polynomials of path adjacency matrices over GF(2).
 
 Polynomials over GF(2) pack into a single int, one bit per coefficient,
-mirroring the row packing in :mod:`nilpath.gf2`. The characteristic
-polynomial of the n-path's tridiagonal adjacency matrix obeys the
-three-term recurrence p_t = x * p_(t-1) - p_(t-2), which over GF(2) is an
-XOR of a shift with the grandparent. A matrix over a field is nilpotent
-exactly when its characteristic polynomial is the bare power x^n, so
-checking that every coefficient below the top vanishes gives a second,
-independent route to the nilpotency results of :mod:`nilpath.gf2`.
+mirroring the row packing in :mod:`nilpath.gf2`. The path is a tree, so
+the characteristic polynomial of its adjacency matrix is its matching
+polynomial, sum_j (-1)^j C(n - j, j) x^(n - 2j): the n-path has
+C(n - j, j) matchings of j edges. Mod 2 each coefficient is one bit,
+which Kummer's theorem reads off the binary digits. A matrix over a field
+is nilpotent exactly when its characteristic polynomial is the bare power
+x^n, so checking that every coefficient below the top vanishes gives a
+second, independent route to the nilpotency results of :mod:`nilpath.gf2`.
 """
 
 from __future__ import annotations
@@ -56,18 +57,14 @@ class GF2Poly:
 def charpoly_path(n: int) -> GF2Poly:
     """Characteristic polynomial of the n-path adjacency matrix, mod 2.
 
-    Runs the tridiagonal recurrence p_t = x * p_(t-1) + p_(t-2) from
-    p_(-1) = 0 and p_0 = 1, on packed coefficient bits: times x is a left
-    shift and the sum is an XOR. The leading principal minors of xI - A
-    satisfy it, and signs vanish mod 2. n = 0 gives the empty matrix's
-    polynomial, the constant 1.
+    The matching polynomial of the path, with signs dropped mod 2. n = 0
+    gives the empty matrix's polynomial, the constant 1.
     """
     if n < 0:
         raise ValueError(f"matrix size must be non-negative, got {n}")
-    prev, cur = 0, 1
-    for _ in range(n):
-        prev, cur = cur, (cur << 1) ^ prev
-    return GF2Poly(cur)
+    # Kummer: C(n - j, j) is odd exactly when adding j to n - 2j carries
+    # nowhere, that is when j & (n - 2j) == 0
+    return GF2Poly(sum(1 << n - 2 * j for j in range(n // 2 + 1) if not j & n - 2 * j))
 
 
 def charpoly_is_monomial(n: int) -> bool:

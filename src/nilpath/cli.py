@@ -330,7 +330,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
         _value_row(
             "characteristic polynomial mod 2",
             str(poly),
-            "three-term recurrence on leading minors",
+            "matching polynomial, Kummer's theorem",
         )
     ]
     if args.check_monomial:
@@ -378,8 +378,8 @@ _COMMANDS: dict[str, tuple] = {
         [],
     ),
     # the parity route rotates a 2(n + 1)-bit state for each bit of k:
-    # 0.8 s at --n 16777215 with --k 2^64 - 1. The exact route sums
-    # binomials of up to k bits, so --exact also bounds --k, last: 0.65 s
+    # 0.55 s at --n 16777215 with --k 2^64 - 1. The exact route sums
+    # binomials of up to k bits, so --exact also bounds --k, last: 0.4 s
     # at --n 16777216 --k 32767, whose 15 set bits make it the slowest.
     "walk-count": (
         _cmd_walk_count,
@@ -393,7 +393,7 @@ _COMMANDS: dict[str, tuple] = {
          ("--k", 2**15, lambda a: a.k if a.mode == "exact" else 0,
           "exceeds the limit {limit}")],
     ),
-    # one matrix product and n^2 unchecked exact counts per length: 0.9 s at
+    # one matrix product and n^2 unchecked exact counts per length: 0.6 s at
     # --n 256 --max-k 8, which lists 129,104 walks
     "verify-lemma": (
         _cmd_verify_lemma,
@@ -401,7 +401,7 @@ _COMMANDS: dict[str, tuple] = {
         [("--n", 1, 256), ("--max-k", 0, 24)],
         [("--n --max-k", 2**17, lambda a: _walks_listed(a.n, a.max_k), _LISTS)],
     ),
-    # about 2^(m-1) visit offsets, whatever --k is: 0.6 s at the limit
+    # about 2^(m-1) visit offsets, whatever --k is: 0.4 s at the limit
     "verify-theorem": (
         _cmd_verify_theorem,
         "certify even walk counts for k >= n = 2^m - 1",
@@ -411,7 +411,7 @@ _COMMANDS: dict[str, tuple] = {
                     "help": "sweep m <= 4, n <= k <= n + 4, every endpoint pair"})],
         [],
     ),
-    # --m 1 has a single vertex and no midpoint to reflect across; 0.35 s
+    # --m 1 has a single vertex and no midpoint to reflect across; 0.18 s
     # at --m 10 --k 6, which lists 129,575 walks
     "involution-test": (
         _cmd_involution_test,
@@ -420,7 +420,7 @@ _COMMANDS: dict[str, tuple] = {
         [("--m --k", 2**17, lambda a: _walks_listed(2**a.m - 1, a.k), _LISTS)],
     ),
     # k + 1 exact counts of up to k bits per stream, all printed in
-    # decimal: 2.2 s at --n 1024 --k 4096
+    # decimal: 1.4 s at --n 1024 --k 4096
     "census": (
         _cmd_census,
         "exact class sizes for one (pivot, x, y, k) choice",
@@ -428,15 +428,15 @@ _COMMANDS: dict[str, tuple] = {
          ("--y", None, None), ("--k", 0, 4096)],
         [],
     ),
-    # no walks row: the scan stops at its first witness; 2.1 s at --n 7
-    # --k 22, and 0.3 s at --n 1022 --k 0, where no witness exists
+    # no walks row: the scan stops at its first witness; 1.3 s at --n 7
+    # --k 22, and 0.1 s at --n 1022 --k 0, where no witness exists
     "naive-demo": (
         _cmd_naive_demo,
         "search for a walk where the divisibility-pivot reflection escapes",
         [("--n", 1, 1024), ("--k", 0, 22)],
         [],
     ),
-    # the three-term recurrence is O(n^2) bit work: 0.5 s at the limit
+    # the matching polynomial, a bit test per term: 0.11 s at the limit
     "charpoly": (
         _cmd_charpoly,
         "characteristic polynomial of the path adjacency matrix mod 2",

@@ -1,6 +1,30 @@
+import sys
+
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, derandomize=True, max_examples=100
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def refuse(monkeypatch):
+    """Make functions raise when called, under every name that a ``nilpath``
+    module binds them to, so that a test can show a route never calls them.
+    The fixture's monkeypatch restores them after the test."""
+
+    def patch(*functions):
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "nilpath"]
+        for function in functions:
+
+            def refused(*args, name=function.__qualname__, **kwargs):
+                raise AssertionError(f"{name} was called")
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, attr, refused)
+
+    return patch

@@ -3,9 +3,11 @@
 Each function here recomputes something the library computes, by a route
 the library does not share: bit-at-a-time matrix products, a GF(2) rank by
 elimination, recursive walk listing, integer and mod-2 counting vectors
-stepped once per unit of length, a symbolic cofactor determinant, and a
-certificate replay that checks every visit offset of every length one at
-a time. Agreement between the two routes is what the tests assert.
+stepped once per unit of length, the three-term recurrence of leading
+minors and a symbolic cofactor determinant for the characteristic
+polynomial, and a certificate replay that checks every visit offset of
+every length one at a time. Agreement between the two routes is what the
+tests assert.
 """
 
 from __future__ import annotations
@@ -104,13 +106,29 @@ def stepping_parity(n: int, x: int, y: int, k: int) -> int:
     return mask >> (y - 1) & 1
 
 
+def recurrence_charpoly_bits(n: int) -> int:
+    """Characteristic polynomial of the n-path mod 2, one minor at a time.
+
+    Runs the tridiagonal recurrence p_t = x * p_(t-1) + p_(t-2) from
+    p_(-1) = 0 and p_0 = 1, on packed coefficient bits: times x is a left
+    shift and the sum is an XOR. The leading principal minors of xI - A
+    satisfy it, and signs vanish mod 2. The cost is n shifts of up to n
+    bits, against one bit test per coefficient in the closed form.
+    """
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, (cur << 1) ^ prev
+    return cur
+
+
 def cofactor_charpoly_bits(n: int) -> int:
     """det(xI - A) for the n-path over the integers, reduced mod 2 at the end.
 
     Polynomials are coefficient tuples (low degree first). The determinant
     expands along rows, memoized on the set of still-available columns, so
     sign bookkeeping stays explicit and nothing is shared with the
-    three-term recurrence under test.
+    matching-polynomial closed form under test or with the recurrence
+    above.
     """
 
     def padd(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

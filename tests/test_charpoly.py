@@ -1,5 +1,10 @@
+import inspect
+
 import pytest
 
+import nilpath.charpoly
+import nilpath.gf2
+import nilpath.walks
 from nilpath.charpoly import (
     GF2Poly,
     charpoly_is_monomial,
@@ -8,7 +13,7 @@ from nilpath.charpoly import (
 from nilpath.gf2 import nilpotency_index
 from nilpath.walks import path_adjacency
 
-from oracles import cofactor_charpoly_bits
+from oracles import cofactor_charpoly_bits, recurrence_charpoly_bits
 
 
 class TestGF2Poly:
@@ -41,6 +46,23 @@ class TestCharpolyPath:
         for n in range(0, 11):
             assert charpoly_path(n).bits == cofactor_charpoly_bits(n)
 
+    def test_matches_the_recurrence(self):
+        for n in [*range(2000), 4095, 4096, 16382]:
+            assert charpoly_path(n).bits == recurrence_charpoly_bits(n), n
+
+    def test_shares_nothing_with_the_matrix_and_walk_routes(self, refuse):
+        for module in (nilpath.gf2, nilpath.walks):
+            for value in vars(nilpath.charpoly).values():
+                assert value is not module
+                assert getattr(value, "__module__", None) != module.__name__, value
+            refuse(*[
+                value for value in vars(module).values()
+                if inspect.isfunction(value) and value.__module__ == module.__name__
+            ])
+        for n in range(301):
+            assert charpoly_path(n).bits == recurrence_charpoly_bits(n)
+            assert charpoly_is_monomial(n) == ((n + 1) & n == 0)
+
     def test_degree_and_leading_coefficient(self):
         for n in range(0, 65):
             p = charpoly_path(n)
@@ -60,6 +82,12 @@ class TestCharpolyIsMonomial:
     def test_known_non_monomial_sizes(self):
         for n in (2, 4, 5, 6, 8, 9):
             assert not charpoly_is_monomial(n)
+
+    def test_family_up_to_two_to_the_twenty(self):
+        # sizes the recurrence, at O(n^2) bit work, cannot reach here
+        for m in range(1, 21):
+            assert charpoly_is_monomial(2**m - 1), m
+            assert not charpoly_is_monomial(2**m), m
 
     def test_matches_nilpotency_up_to_forty(self):
         for n in range(1, 41):

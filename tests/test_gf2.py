@@ -14,7 +14,14 @@ from nilpath.gf2 import (
     nilpotency_index,
     zero,
 )
-from nilpath.walks import path_adjacency
+from nilpath.charpoly import charpoly_path
+from nilpath.walks import (
+    _count_exact,
+    _count_vectors,
+    _family_parity,
+    _parity_vector,
+    path_adjacency,
+)
 
 from oracles import naive_mat_mul
 
@@ -299,6 +306,12 @@ class TestNilpotencyIndex:
         for n in range(1, 11):
             a = path_adjacency(n)
             assert nilpotency_index(a) == brute_index(a)
+
+    def test_never_calls_the_walk_or_charpoly_routes(self, refuse):
+        refuse(_parity_vector, _count_vectors, _count_exact, _family_parity, charpoly_path)
+        for n in range(1, 131):
+            expected = n if (n + 1) & n == 0 else None
+            assert nilpotency_index(path_adjacency(n)) == expected, n
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=60)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilpath.cli import run
-from nilpath.gf2 import mat_from_entries, mat_pow, zero
+from nilpath.gf2 import mat_from_entries, mat_mul, mat_pow, nilpotency_index, zero
 from nilpath.walks import (
     Walk,
     _count_exact,
@@ -330,6 +330,9 @@ class TestCountWalksExact:
     @example((7, 3, 2, 6))
     @example((300, 150, 151, 299))
     @example((2, 1, 2, 2999))
+    @example((8, 1, 8, 30001))
+    @example((8, 4, 4, 30000))
+    @example((5, 2, 5, 29999))
     def test_matches_stepping_oracle(self, case):
         n, x, y, k = case
         assert count_walks_exact(n, x, y, k) == stepping_count(n, x, y, k)
@@ -407,6 +410,13 @@ class TestParityVector:
     def test_first_column_survives_one_step_short(self):
         for n in range(1, 4097):
             assert _parity_vector(n, 1, n - 1) != 0, n
+
+    def test_never_calls_the_matrix_route(self, refuse):
+        # the two parity rows of check-nilpotent, without any matrix power
+        refuse(mat_mul, mat_pow, nilpotency_index)
+        for n in range(1, 301):
+            assert count_walks_parity(n, 1, n, n - 1) == 1, n
+            assert (_parity_vector(n, 1, n) == 0) == ((n + 1) & n == 0), n
 
 
 class TestFamilyParity:
