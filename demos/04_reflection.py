@@ -11,6 +11,10 @@ checks it by brute force.
 from nilpath import ClassTag, classify, iter_walks_from, reflect_class3
 
 
+def dashed(walk):
+    return "-".join(map(str, walk))
+
+
 def class3_walks(n, pivot, k):
     for start in range(1, n + 1):
         for walk in iter_walks_from(n, start, k):
@@ -24,8 +28,8 @@ def main():
     shown = 0
     for walk in class3_walks(n, pivot, 7):
         image = reflect_class3(n, walk, pivot)
-        if walk.vertices < image.vertices and shown < 6:
-            print(f"   {str(walk):17s} <-> {image}")
+        if walk < image and shown < 6:
+            print(f"   {dashed(walk):17s} <-> {dashed(image)}")
             shown += 1
     print()
 
@@ -37,7 +41,7 @@ def main():
             image = reflect_class3(n, w, pivot)
             assert image != w
             assert reflect_class3(n, image, pivot) == w
-            paired.add(frozenset([w.vertices, image.vertices]))
+            paired.add(frozenset([w, image]))
         print(
             f"  length {k}: {len(walks):5d} class-3 walks "
             f"= {len(paired):5d} disjoint pairs"

@@ -8,28 +8,26 @@ and the mirrored segment can step outside the path. This script hunts
 down the smallest walk in P_7 where that happens.
 """
 
-from nilpath import (
-    ReflectionOutOfBounds,
-    Walk,
-    find_naive_failure,
-    naive_pivot,
-    naive_reflect,
-)
+from nilpath import ReflectionOutOfBounds, find_naive_failure, naive_pivot, naive_reflect
+
+
+def dashed(walk):
+    return "-".join(map(str, walk))
 
 
 def main():
     print("The naive rule working as intended:")
-    for w in (Walk((4, 5, 4)), Walk((2, 3, 2)), Walk((3, 4, 5, 4, 3, 2, 1))):
+    for w in ((4, 5, 4), (2, 3, 2), (3, 4, 5, 4, 3, 2, 1)):
         pivot = naive_pivot(w)
         image = naive_reflect(7, w)
-        print(f"   {str(w):16s} pivot {pivot}  ->  {image}")
+        print(f"   {dashed(w):16s} pivot {pivot}  ->  {dashed(image)}")
     print()
 
     witness = find_naive_failure(7, 7)
-    print(f"First length-7 walk of P_7 where the rule breaks: {witness}")
+    print(f"First length-7 walk of P_7 where the rule breaks: {dashed(witness)}")
     pivot = naive_pivot(witness)
     print(f"  repeated vertices with their 2-exponents:")
-    seen = sorted(set(v for v in witness.vertices if witness.vertices.count(v) > 1))
+    seen = sorted(set(v for v in witness if witness.count(v) > 1))
     for v in seen:
         exp = (v & -v).bit_length() - 1
         print(f"    vertex {v}: 2-exponent {exp}")

@@ -39,12 +39,12 @@ from .walks import (
     _count_exact,
     _count_vectors,
     _integer_powers,
-    _is_walk,
     _parity_vector,
     _walks,
     count_walks_exact,
     count_walks_parity,
     path_adjacency,
+    walk_is_valid,
 )
 
 __all__ = ["run", "console_main"]
@@ -227,7 +227,7 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
             if image == vs:
                 bad_fixed += 1
             # the checks below and _reflect take valid walks only
-            if not _is_walk(n, image):
+            if not walk_is_valid(n, image):
                 bad_walk += 1
                 continue
             if not (
@@ -303,7 +303,9 @@ def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
             outcome, escape = "stayed in bounds", None
         except ReflectionOutOfBounds as exc:
             outcome, escape = "out of bounds", str(exc)
-        details.append(_value_row("witness walk", str(witness), "first in scan order"))
+        details.append(
+            _value_row("witness walk", "-".join(map(str, witness)), "first in scan order")
+        )
         details.append(
             _value_row(
                 "its naive pivot", pivot, "repeated vertex with maximal 2-exponent"
@@ -428,7 +430,7 @@ _COMMANDS: dict[str, tuple] = {
          ("--y", None, None), ("--k", 0, 4096)],
         [],
     ),
-    # no walks row: the scan stops at its first witness; 1.3 s at --n 7
+    # no walks row: the scan stops at its first witness; 1.1 s at --n 7
     # --k 22, and 0.1 s at --n 1022 --k 0, where no witness exists
     "naive-demo": (
         _cmd_naive_demo,

@@ -11,17 +11,22 @@ classifier, the class-2 splitter, the class-3 reflection, an exact census
 of the three classes for any pivot, their parities at the midpoint in
 closed form, the case notes of the recursive certificate, and the tempting
 but broken variant of the reflection that picks its pivot by divisibility.
+
+A walk is a non-empty tuple of 1-based vertices, as the search in
+``walks`` yields it. The checking shells (``classify``,
+``class2_decompose``, ``reflect_class3`` and ``naive_reflect``) take any
+vertex sequence, turn it into a tuple and validate it once, and the ones
+that build walks return tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .report import Detail, ParityReport
 from .walks import (
-    Walk,
     _check_args,
     _count_vectors,
     _family_parity,
@@ -70,15 +75,15 @@ class WalkClass:
 class Class2Split:
     """A class-2 walk cut at its unique pivot visit.
 
-    ``step`` is the index of the visit; ``left`` is the part before it and
-    ``right`` the part after, either of which is absent when the visit sits
-    at the corresponding end of the walk. Both parts stay strictly on one
-    side of the pivot.
+    ``step`` is the index of the visit; ``left`` is the vertex tuple before
+    it and ``right`` the one after, either of which is None when the visit
+    sits at the corresponding end of the walk. Both parts stay strictly on
+    one side of the pivot.
     """
 
     step: int
-    left: Walk | None
-    right: Walk | None
+    left: tuple[int, ...] | None
+    right: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -99,43 +104,37 @@ class ClassCensus:
         return self.c1 + self.c2 + self.c3
 
 
-def _require_valid(n: int, walk: Walk) -> None:
-    if not walk_is_valid(n, walk):
-        raise ValueError(f"walk {walk} is not a valid walk in the {n}-path")
+def _require_valid(n: int, vs: Sequence[int]) -> tuple[int, ...]:
+    """The walk as a tuple, once it is known to be a walk in the n-path."""
+    vs = tuple(vs)
+    if not walk_is_valid(n, vs):
+        raise ValueError(f"walk {vs} is not a valid walk in the {n}-path")
+    return vs
 
 
-def classify(n: int, walk: Walk, pivot: int) -> WalkClass:
+def classify(n: int, vs: Sequence[int], pivot: int) -> WalkClass:
     """Class of a walk by its number of pivot visits: 0, 1, or >= 2."""
-    _require_valid(n, walk)
+    visits = _require_valid(n, vs).count(pivot)
     _check_args(n, pivot=pivot)
-    visits = sum(1 for v in walk.vertices if v == pivot)
-    if visits == 0:
-        tag = ClassTag.CLASS1
-    elif visits == 1:
-        tag = ClassTag.CLASS2
-    else:
-        tag = ClassTag.CLASS3
-    return WalkClass(tag, visits)
+    return WalkClass(ClassTag(min(visits, 2) + 1), visits)
 
 
-def class2_decompose(n: int, walk: Walk, pivot: int) -> Class2Split:
+def class2_decompose(n: int, vs: Sequence[int], pivot: int) -> Class2Split:
     """Cut a class-2 walk at its unique pivot visit.
 
     Splicing left + pivot + right back together reproduces the walk.
     """
-    wc = classify(n, walk, pivot)
+    vs = tuple(vs)
+    wc = classify(n, vs, pivot)
     if wc.tag is not ClassTag.CLASS2:
         raise ValueError(
-            f"walk {walk} visits pivot {pivot} {wc.pivot_visits} times, not once"
+            f"walk {vs} visits pivot {pivot} {wc.pivot_visits} times, not once"
         )
-    vs = walk.vertices
     i = vs.index(pivot)
-    left = Walk(vs[:i]) if i > 0 else None
-    right = Walk(vs[i + 1 :]) if i < walk.length else None
-    return Class2Split(i, left, right)
+    return Class2Split(i, vs[:i] or None, vs[i + 1 :] or None)
 
 
-def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
+def reflect_class3(n: int, vs: Sequence[int], pivot: int) -> tuple[int, ...]:
     """Mirror the segment between the first two pivot visits of a class-3 walk.
 
     Vertices strictly between the visits map to ``2 * pivot - v``, turning
@@ -144,17 +143,18 @@ def reflect_class3(n: int, walk: Walk, pivot: int) -> Walk:
     never equal to it, and applying the map twice restores the input.
     Raises ReflectionOutOfBounds when a mirrored vertex would leave 1..n:
     impossible for the exact midpoint pivot of an odd path, but easy to
-    trigger for off-center pivots. This shell validates the walk and its
-    class, then calls the unchecked core ``_reflect``, which serves walks
-    that the DFS produced.
+    trigger for off-center pivots. This shell takes any vertex sequence,
+    validates it and its class, then calls the unchecked core ``_reflect``
+    on its tuple, which serves walks that the DFS produced.
     """
-    wc = classify(n, walk, pivot)
+    vs = tuple(vs)
+    wc = classify(n, vs, pivot)
     if wc.tag is not ClassTag.CLASS3:
         raise ValueError(
-            f"walk {walk} visits pivot {pivot} {wc.pivot_visits} times, "
+            f"walk {vs} visits pivot {pivot} {wc.pivot_visits} times, "
             "need at least two"
         )
-    return Walk(_reflect(n, walk.vertices, pivot))
+    return _reflect(n, vs, pivot)
 
 
 def _reflect(n: int, vs: tuple[int, ...], pivot: int) -> tuple[int, ...]:
@@ -407,22 +407,15 @@ def _parity_word(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
 
-def naive_pivot(walk: Walk) -> int | None:
+def naive_pivot(vs: Sequence[int]) -> int | None:
     """The repeated vertex with the highest power of 2 in its factorization.
 
     Among vertices visited at least twice, picks those whose 2-exponent is
     maximal, then the one whose second visit comes first. None when no
-    vertex repeats.
-    """
-    return _naive_pivot(walk.vertices)
-
-
-def _naive_pivot(vs: tuple[int, ...]) -> int | None:
-    """``naive_pivot`` on a vertex tuple, in one pass.
-
-    v & -v is the largest power of 2 dividing v, so it orders vertices as
-    their 2-exponents do. Only a strictly larger one replaces the pivot
-    found so far, so the earliest second visit wins a tie.
+    vertex repeats. One pass: v & -v is the largest power of 2 dividing v,
+    so it orders vertices as their 2-exponents do, and only a strictly
+    larger one replaces the pivot found so far, so the earliest second
+    visit wins a tie.
     """
     seen: set[int] = set()
     pivot, pivot_low = None, -1
@@ -435,7 +428,7 @@ def _naive_pivot(vs: tuple[int, ...]) -> int | None:
     return pivot
 
 
-def naive_reflect(n: int, walk: Walk) -> Walk:
+def naive_reflect(n: int, vs: Sequence[int]) -> tuple[int, ...]:
     """Reflect between the first two visits of the naive divisibility pivot.
 
     Looks appealing because the pivot survives the reflection, so applying
@@ -448,14 +441,14 @@ def naive_reflect(n: int, walk: Walk) -> Walk:
     ``reflect_class3`` would hold, and the unchecked core ``_reflect`` does
     the mirroring.
     """
-    _require_valid(n, walk)
-    pivot = naive_pivot(walk)
+    vs = _require_valid(n, vs)
+    pivot = naive_pivot(vs)
     if pivot is None:
-        raise ValueError(f"walk {walk} has no repeated vertex to reflect around")
-    return Walk(_reflect(n, walk.vertices, pivot))
+        raise ValueError(f"walk {vs} has no repeated vertex to reflect around")
+    return _reflect(n, vs, pivot)
 
 
-def find_naive_failure(n: int, k: int) -> Walk | None:
+def find_naive_failure(n: int, k: int) -> tuple[int, ...] | None:
     """First length-k walk (lexicographically) whose naive reflection escapes.
 
     Scans every walk of length k in the n-path in lexicographic order and
@@ -465,13 +458,12 @@ def find_naive_failure(n: int, k: int) -> Walk | None:
     """
     _check_args(n, k)
     for start in range(1, n + 1):
-        for walk in iter_walks_from(n, start, k):
-            vs = walk.vertices
-            pivot = _naive_pivot(vs)
+        for vs in iter_walks_from(n, start, k):
+            pivot = naive_pivot(vs)
             if pivot is None:
                 continue
             try:
                 _reflect(n, vs, pivot)
             except ReflectionOutOfBounds:
-                return walk
+                return vs
     return None

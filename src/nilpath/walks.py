@@ -12,10 +12,10 @@ This module is the only place that walks a path, counts on it and checks
 walk arguments. ``_walks`` is the single depth-first search: it yields
 every node of its search tree as a plain vertex tuple, so one pass from a
 start vertex lists the walks of every length up to k, and every walk
-listing, with or without a fixed end vertex, picks its nodes from it. The
-enumerating commands keep those tuples to the end, checking them with
-``_is_walk``, the tuple form of ``walk_is_valid``; a ``Walk`` is built only
-for callers of the public listings. ``_integer_powers`` yields the integer
+listing, with or without a fixed end vertex, picks its nodes from it. A
+walk is such a tuple in every module of the package: the public listings
+return the tuples as the search yields them, and ``walk_is_valid`` checks
+any vertex sequence against a path. ``_integer_powers`` yields the integer
 adjacency powers one product apart, for the reference route of
 ``verify-lemma`` and for ``integer_adjacency_power``. ``_count_vectors`` is the
 single counting step, behind the exact three-class census, which passes
@@ -30,15 +30,13 @@ line alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from operator import add, sub
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .gf2 import GF2Matrix
 
 __all__ = [
-    "Walk",
     "path_adjacency",
     "walk_is_valid",
     "iter_walks_from",
@@ -47,37 +45,6 @@ __all__ = [
     "count_walks_parity",
     "integer_adjacency_power",
 ]
-
-@dataclass(frozen=True)
-class Walk:
-    """A non-empty vertex sequence; its length is the number of steps.
-
-    Construction does not pin the walk to a particular path graph; use
-    ``walk_is_valid`` to check it against a vertex count n.
-    """
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vs = tuple(self.vertices)
-        if not vs:
-            raise ValueError("a walk needs at least one vertex")
-        object.__setattr__(self, "vertices", vs)
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    def __str__(self) -> str:
-        return "-".join(str(v) for v in self.vertices)
 
 
 def _check_args(n: int, k: int = 0, **vertices: int) -> None:
@@ -105,15 +72,11 @@ def path_adjacency(n: int) -> GF2Matrix:
     return GF2Matrix(n, tuple(rows))
 
 
-def walk_is_valid(n: int, walk: Walk) -> bool:
-    """True iff all vertices lie in 1..n and every step moves by exactly 1."""
-    return _is_walk(n, walk.vertices)
-
-
-def _is_walk(n: int, vs: tuple[int, ...]) -> bool:
-    """``walk_is_valid`` on a non-empty vertex tuple."""
+def walk_is_valid(n: int, vs: Sequence[int]) -> bool:
+    """True iff vs is non-empty, all its vertices lie in 1..n and every step
+    moves by exactly 1."""
     # min, max, map and the set comparison all run in C
-    return 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
+    return bool(vs) and 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
 
 
 def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
@@ -156,16 +119,16 @@ def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
                 yield w + (v + 1,)
 
 
-def iter_walks_from(n: int, x: int, k: int) -> Iterator[Walk]:
+def iter_walks_from(n: int, x: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield every length-k walk starting at x, in lexicographic order.
 
     Arguments are checked at the call, before the first walk is asked for.
     """
     _check_args(n, k, x=x)
-    return (Walk(vs) for vs in _walks(n, x, k, None) if len(vs) > k)
+    return (vs for vs in _walks(n, x, k, None) if len(vs) > k)
 
 
-def enumerate_walks(n: int, x: int, y: int, k: int) -> list[Walk]:
+def enumerate_walks(n: int, x: int, y: int, k: int) -> list[tuple[int, ...]]:
     """All length-k walks from x to y, in lexicographic order of vertex tuples.
 
     The search prunes any prefix that cannot reach y in the remaining steps
@@ -174,7 +137,7 @@ def enumerate_walks(n: int, x: int, y: int, k: int) -> list[Walk]:
     or two vertices has at most one walk per length.
     """
     _check_args(n, k, x=x, y=y)
-    return [Walk(vs) for vs in _walks(n, x, k, y) if len(vs) > k]
+    return [vs for vs in _walks(n, x, k, y) if len(vs) > k]
 
 
 def _count_vectors(

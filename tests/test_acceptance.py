@@ -22,7 +22,6 @@ from nilpath.proofcheck import (
     theorem_check,
 )
 from nilpath.walks import (
-    Walk,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -116,10 +115,10 @@ def test_criterion_5_reflection_involution_suite():
                 image = reflect_class3(n, walk, pivot)  # total: must not raise
                 assert walk_is_valid(n, image)
                 assert image != walk, f"fixed point at {walk}"
-                assert (image.start, image.end, image.length) == (
-                    walk.start,
-                    walk.end,
-                    walk.length,
+                assert (image[0], image[-1], len(image)) == (
+                    walk[0],
+                    walk[-1],
+                    len(walk),
                 )
                 assert classify(n, image, pivot).tag is ClassTag.CLASS3
                 assert reflect_class3(n, image, pivot) == walk

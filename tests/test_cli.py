@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -10,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nilpath
 from nilpath import cli
@@ -17,6 +18,8 @@ from nilpath.cli import run
 from nilpath.proofcheck import ClassCensus, class_census
 from nilpath.report import Detail, ParityReport
 from nilpath.walks import iter_walks_from
+
+from argv_corpus import MALFORMED, SMALL, answer, corpus, well_formed_calls
 
 
 def run_cli(capsys, *argv):
@@ -387,44 +390,6 @@ class TestExitCodes:
         assert cli._walks_listed(15, 20) == 18788741
 
 
-# one small accepted argv per subcommand
-SMALL = {
-    "check-nilpotent": ["--m", "3"],
-    "walk-count": ["--n", "7", "--x", "3", "--y", "2", "--k", "7"],
-    "verify-lemma": ["--n", "3", "--max-k", "2"],
-    "verify-theorem": ["--m", "3", "--k", "7", "--x", "3", "--y", "2"],
-    "involution-test": ["--m", "3", "--k", "4"],
-    "census": ["--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "8"],
-    "naive-demo": ["--n", "7", "--k", "6"],
-    "charpoly": ["--n", "7"],
-}
-
-
-def well_formed_calls(command):
-    """Calls of a command built from its ``_COMMANDS`` entry, as (flag, value)
-    pairs with None for a switch: one small call, each bounded flag at least
-    - 1, least, largest and largest + 1, each group member, each switch and
-    each --format choice, each also in a shuffled order."""
-    rng = random.Random(command)
-    base = dict(zip(SMALL[command][::2], SMALL[command][1::2]))
-    calls = [base]
-    for row in cli._table(command)[0][1:]:  # the --format row comes first
-        members = [flag for flag, _, _ in row]
-        for flag, bounds, _ in row:
-            # a group member replaces the others
-            call = {f: v for f, v in base.items() if f == flag or f not in members}
-            if not bounds:
-                calls.append({**call, flag: None})
-                continue
-            least, largest = bounds
-            near = [least - 1, least] if least is not None else []
-            near += [largest, largest + 1] if largest is not None else []
-            calls += [{**call, flag: str(value)} for value in near or [5]]
-    calls += [{**base, "--format": choice} for choice in ("csv", "json", "text")]
-    calls += [dict(rng.sample(list(call.items()), len(call))) for call in calls]
-    return [[(flag, value) for flag, value in call.items()] for call in calls]
-
-
 # argv that the table path declines, and argparse's answer to each: None
 # where argparse exits itself, else the exit code and last stderr line of run
 DECLINED = [
@@ -528,6 +493,77 @@ class TestParsers:
         assert (code, err) == (0, "")
         for command, (_, help_text, _, _) in cli._COMMANDS.items():
             assert re.search(rf"^ +{command} +{re.escape(help_text)}$", out, re.M), command
+
+
+@st.composite
+def drawn_argv(draw):
+    """An argv in the grammar of the command table: a command, then flags
+    of its rows in any order, one of them perhaps twice. An int flag takes a
+    small in-range value, a value just or far past its limits, or a
+    malformed token, spelled ``--flag value`` or ``--flag=value``;
+    ``--format`` takes one of its choices or another word. At times a help
+    flag, an unknown flag or a stray value goes somewhere in the argv."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    rows, flags = cli._table(command)[:2]
+    chosen = []
+    for members in rows:
+        # mostly one flag of each row or group, so that many calls run
+        names = [flag for flag, _, _ in members]
+        chosen += draw(st.sampled_from([[flag] for flag in names] * 4 + [[], names]))
+    chosen = draw(st.permutations(chosen))
+    if chosen and draw(st.booleans()):
+        chosen.append(draw(st.sampled_from(chosen)))
+    argv = [command]
+    for flag in chosen:
+        _, takes, _, _, bounds = flags[flag]
+        if takes is None:
+            argv.append(flag)
+            continue
+        if takes is int:
+            least, largest = bounds
+            low = 1 if least is None else least
+            small = [v for v in range(low, low + 4) if largest is None or v <= largest]
+            past = [least - 1] if least is not None else [0, -3]
+            past += [largest + 1] if largest is not None else []
+            values = {
+                "small": [str(v) for v in small],
+                "past": [str(v) for v in (*past, 10**30)],
+                "malformed": MALFORMED,
+            }[draw(st.sampled_from(["small"] * 8 + ["past", "malformed"]))]
+        else:
+            values = [*takes, "yaml"]
+        value = draw(st.sampled_from(values))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    extra = draw(st.sampled_from([None] * 12 + ["-h", "--bogus", "7", "--"]))
+    if extra is not None:
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv
+
+
+class TestExitContract:
+    @given(drawn_argv())
+    def test_every_argv_keeps_the_exit_contract(self, argv):
+        # 0 pass, 1 a failed check, 2 a usage error with nothing on stdout,
+        # and never a traceback
+        code, out, err = answer(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert (out == "") == (code == 2), argv
+        args = cli._parse(argv)
+        if args is not None:
+            assert args == cli._build_parser().parse_args(argv), argv
+
+    def test_corpus_covers_the_workloads_and_every_spelling(self):
+        argvs = corpus()
+        assert len(argvs) == len({tuple(argv) for argv in argvs}) > 400
+        assert argvs == corpus()
+        for command, small in SMALL.items():
+            assert [command, f"{small[0]}={small[1]}", *small[2:]] in argvs
+            assert [command, *small] in argvs and [command, "--help"] in argvs
+        # the slowest accepted naive-demo, and the benchmark operations, which
+        # end in --format json
+        assert ["naive-demo", "--n", "7", "--k", "22"] in argvs
+        assert sum(argv[-2:] == ["--format", "json"] for argv in argvs) > 250
 
 
 class TestReadmeLimits:
@@ -874,7 +910,7 @@ class TestInvolutionTest:
             for length in range(7)
             for start in range(1, 8)
             for w in iter_walks_from(7, start, length)
-            if w.vertices.count(4) >= 2 and w.end != 4
+            if w.count(4) >= 2 and w[-1] != 4
         )
         assert rows["image preserves start, end, length, class"] == moved > 0
         assert rows["no fixed points"] == 0
@@ -902,15 +938,13 @@ class TestInvolutionTest:
 
     def test_each_walk_is_validated_once(self, capsys, monkeypatch):
         checked = []
-        real = cli._is_walk
+        real = cli.walk_is_valid
 
         def counting(n, vs):
             checked.append(vs)
             return real(n, vs)
 
-        # walk_is_valid calls the tuple predicate through the walks module
-        monkeypatch.setattr(cli, "_is_walk", counting)
-        monkeypatch.setattr(nilpath.walks, "_is_walk", counting)
+        monkeypatch.setattr(cli, "walk_is_valid", counting)
         code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "8")
         rows = {d["check"]: d["observed"] for d in parsed["details"]}
         assert code == 0

@@ -20,7 +20,6 @@ from nilpath.proofcheck import (
     theorem_check,
 )
 from nilpath.walks import (
-    Walk,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -37,34 +36,34 @@ def walks_of_length(n, k):
 
 class TestClassify:
     def test_never_visits(self):
-        wc = classify(7, Walk((1, 2, 1)), 4)
+        wc = classify(7, (1, 2, 1), 4)
         assert wc.tag is ClassTag.CLASS1 and wc.pivot_visits == 0
 
     def test_visits_once(self):
-        wc = classify(7, Walk((1, 2, 3, 4, 3, 2, 1)), 4)
+        wc = classify(7, (1, 2, 3, 4, 3, 2, 1), 4)
         assert wc.tag is ClassTag.CLASS2 and wc.pivot_visits == 1
 
     def test_visits_twice(self):
-        wc = classify(7, Walk((4, 5, 4)), 4)
+        wc = classify(7, (4, 5, 4), 4)
         assert wc.tag is ClassTag.CLASS3 and wc.pivot_visits == 2
 
     def test_endpoint_visits_count(self):
-        wc = classify(7, Walk((4, 3, 4, 5, 4)), 4)
+        wc = classify(7, (4, 3, 4, 5, 4), 4)
         assert wc.pivot_visits == 3
 
     def test_rejects_invalid_walk(self):
         with pytest.raises(ValueError):
-            classify(7, Walk((1, 3)), 4)
+            classify(7, (1, 3), 4)
 
     def test_rejects_pivot_out_of_range(self):
         with pytest.raises(ValueError):
-            classify(7, Walk((1, 2)), 8)
+            classify(7, (1, 2), 8)
 
     def test_partition_is_exhaustive_and_exclusive(self):
         for k in range(0, 8):
             for w in walks_of_length(5, k):
                 for pivot in range(1, 6):
-                    visits = w.vertices.count(pivot)
+                    visits = w.count(pivot)
                     tag = classify(5, w, pivot).tag
                     expected = (
                         ClassTag.CLASS1
@@ -78,28 +77,28 @@ class TestClassify:
 
 class TestClass2Decompose:
     def test_interior_visit(self):
-        split = class2_decompose(7, Walk((1, 2, 3, 4, 3, 2, 1)), 4)
+        split = class2_decompose(7, (1, 2, 3, 4, 3, 2, 1), 4)
         assert split.step == 3
-        assert split.left.vertices == (1, 2, 3)
-        assert split.right.vertices == (3, 2, 1)
+        assert split.left == (1, 2, 3)
+        assert split.right == (3, 2, 1)
 
     def test_visit_at_start(self):
-        split = class2_decompose(7, Walk((4, 3, 2, 1)), 4)
+        split = class2_decompose(7, (4, 3, 2, 1), 4)
         assert split.step == 0
         assert split.left is None
-        assert split.right.vertices == (3, 2, 1)
+        assert split.right == (3, 2, 1)
 
     def test_visit_at_end(self):
-        split = class2_decompose(7, Walk((2, 3, 4)), 4)
+        split = class2_decompose(7, (2, 3, 4), 4)
         assert split.step == 2
-        assert split.left.vertices == (2, 3)
+        assert split.left == (2, 3)
         assert split.right is None
 
     def test_rejects_other_classes(self):
         with pytest.raises(ValueError):
-            class2_decompose(7, Walk((1, 2, 1)), 4)
+            class2_decompose(7, (1, 2, 1), 4)
         with pytest.raises(ValueError):
-            class2_decompose(7, Walk((4, 5, 4)), 4)
+            class2_decompose(7, (4, 5, 4), 4)
 
     def test_splice_reproduces_every_class2_walk(self):
         pivot = 4
@@ -108,9 +107,9 @@ class TestClass2Decompose:
                 if classify(7, w, pivot).tag is not ClassTag.CLASS2:
                     continue
                 split = class2_decompose(7, w, pivot)
-                left = split.left.vertices if split.left else ()
-                right = split.right.vertices if split.right else ()
-                assert left + (pivot,) + right == w.vertices
+                left = split.left or ()
+                right = split.right or ()
+                assert left + (pivot,) + right == w
                 # each part stays strictly on one side of the pivot
                 for part in (left, right):
                     assert all(v != pivot for v in part)
@@ -120,14 +119,14 @@ class TestClass2Decompose:
 
 class TestReflectClass3:
     def test_shortest_bounce(self):
-        assert reflect_class3(7, Walk((4, 5, 4)), 4).vertices == (4, 3, 4)
+        assert reflect_class3(7, (4, 5, 4), 4) == (4, 3, 4)
 
     def test_longer_segment(self):
-        got = reflect_class3(7, Walk((3, 4, 5, 6, 5, 4, 3, 2)), 4)
-        assert got.vertices == (3, 4, 3, 2, 3, 4, 3, 2)
+        got = reflect_class3(7, (3, 4, 5, 6, 5, 4, 3, 2), 4)
+        assert got == (3, 4, 3, 2, 3, 4, 3, 2)
 
     def test_only_first_segment_is_mirrored(self):
-        assert reflect_class3(7, Walk((4, 5, 4, 5, 4)), 4).vertices == (
+        assert reflect_class3(7, (4, 5, 4, 5, 4), 4) == (
             4,
             3,
             4,
@@ -137,11 +136,11 @@ class TestReflectClass3:
 
     def test_off_center_pivot_can_escape(self):
         with pytest.raises(ReflectionOutOfBounds):
-            reflect_class3(7, Walk((6, 5, 4, 5, 6)), 6)
+            reflect_class3(7, (6, 5, 4, 5, 6), 6)
 
     def test_rejects_other_classes(self):
         with pytest.raises(ValueError):
-            reflect_class3(7, Walk((1, 2, 3, 4, 3, 2, 1)), 4)
+            reflect_class3(7, (1, 2, 3, 4, 3, 2, 1), 4)
 
     def test_involution_laws_at_midpoint(self):
         pivot = 4
@@ -152,11 +151,7 @@ class TestReflectClass3:
                 image = reflect_class3(7, w, pivot)
                 assert walk_is_valid(7, image)
                 assert image != w
-                assert (image.start, image.end, image.length) == (
-                    w.start,
-                    w.end,
-                    w.length,
-                )
+                assert (image[0], image[-1], len(image)) == (w[0], w[-1], len(w))
                 assert classify(7, image, pivot).tag is ClassTag.CLASS3
                 assert reflect_class3(7, image, pivot) == w
 
@@ -175,7 +170,7 @@ def walks_with_a_repeated_vertex(draw):
         vs.append(v + 1 if (up and v < n) or v == 1 else v - 1)
     repeated = sorted(v for v in set(vs) if vs.count(v) >= 2)
     assume(repeated)
-    return n, Walk(tuple(vs)), draw(st.sampled_from(repeated))
+    return n, tuple(vs), draw(st.sampled_from(repeated))
 
 
 def mirror_between_first_two_visits(n, vs, pivot):
@@ -196,19 +191,19 @@ class TestTupleReflection:
     @given(walks_with_a_repeated_vertex())
     def test_matches_reflect_class3_and_the_loop(self, case):
         n, walk, pivot = case
-        expected = mirror_between_first_two_visits(n, walk.vertices, pivot)
+        expected = mirror_between_first_two_visits(n, walk, pivot)
         if isinstance(expected, str):
             for reflect in (
-                lambda: _reflect(n, walk.vertices, pivot),
+                lambda: _reflect(n, walk, pivot),
                 lambda: reflect_class3(n, walk, pivot),
             ):
                 with pytest.raises(ReflectionOutOfBounds) as exc:
                     reflect()
                 assert str(exc.value) == expected
         else:
-            image = _reflect(n, walk.vertices, pivot)
+            image = _reflect(n, walk, pivot)
             assert image == expected
-            assert Walk(image) == reflect_class3(n, walk, pivot)
+            assert image == reflect_class3(n, walk, pivot)
 
     def test_escape_names_the_first_offending_vertex(self):
         # 4 is the first to leave the path, 5 the farthest
@@ -257,8 +252,8 @@ class TestClassCensus:
                                 expected = sum(
                                     1
                                     for w in walks
-                                    if w.vertices.count(pivot) == 1
-                                    and w.vertices[i] == pivot
+                                    if w.count(pivot) == 1
+                                    and w[i] == pivot
                                 )
                                 assert census.per_step_c2[i] == expected
 
@@ -511,54 +506,54 @@ class TestReplayEven:
 
 class TestNaivePivot:
     def test_prefers_high_two_exponent(self):
-        assert naive_pivot(Walk((1, 2, 3, 4, 3, 2, 1))) == 2
+        assert naive_pivot((1, 2, 3, 4, 3, 2, 1)) == 2
 
     def test_absent_when_nothing_repeats(self):
-        assert naive_pivot(Walk((1, 2, 3, 4, 5, 6, 7))) is None
+        assert naive_pivot((1, 2, 3, 4, 5, 6, 7)) is None
 
     def test_single_repeated_vertex(self):
-        assert naive_pivot(Walk((4, 5, 4))) == 4
+        assert naive_pivot((4, 5, 4)) == 4
 
     def test_tie_broken_by_earliest_second_visit(self):
         # 2 and 6 share 2-exponent 1; 6 completes its second visit first
-        assert naive_pivot(Walk((6, 5, 6, 5, 4, 3, 2, 3, 2))) == 6
-        assert naive_pivot(Walk((2, 3, 2, 3, 4, 5, 6, 5, 6))) == 2
+        assert naive_pivot((6, 5, 6, 5, 4, 3, 2, 3, 2)) == 6
+        assert naive_pivot((2, 3, 2, 3, 4, 5, 6, 5, 6)) == 2
 
     def test_zero_length_walk_has_no_pivot(self):
-        assert naive_pivot(Walk((3,))) is None
+        assert naive_pivot((3,)) is None
 
 
 class TestNaiveReflect:
     def test_midpoint_pivot_reflects_safely(self):
-        assert naive_reflect(7, Walk((4, 5, 4))).vertices == (4, 3, 4)
+        assert naive_reflect(7, (4, 5, 4)) == (4, 3, 4)
 
     def test_near_edge_pivot_stays_inside(self):
-        assert naive_reflect(7, Walk((2, 3, 2))).vertices == (2, 1, 2)
+        assert naive_reflect(7, (2, 3, 2)) == (2, 1, 2)
 
     def test_escape_at_high_pivot(self):
         with pytest.raises(ReflectionOutOfBounds):
-            naive_reflect(7, Walk((6, 5, 4, 5, 6)))
+            naive_reflect(7, (6, 5, 4, 5, 6))
 
     def test_rejects_walk_without_repeats(self):
         with pytest.raises(ValueError, match="has no repeated vertex"):
-            naive_reflect(7, Walk((1, 2, 3)))
+            naive_reflect(7, (1, 2, 3))
 
     def test_rejects_invalid_walk(self):
         with pytest.raises(ValueError, match="is not a valid walk in the 7-path"):
-            naive_reflect(7, Walk((3, 5, 3)))
+            naive_reflect(7, (3, 5, 3))
 
     def test_validates_the_walk_once(self, monkeypatch):
-        import nilpath.walks
+        import nilpath.proofcheck
 
         calls = []
-        real = nilpath.walks._is_walk
+        real = nilpath.proofcheck.walk_is_valid
 
         def counting(n, vs):
             calls.append(vs)
             return real(n, vs)
 
-        monkeypatch.setattr(nilpath.walks, "_is_walk", counting)
-        assert naive_reflect(7, Walk((3, 4, 5, 4, 3))) == Walk((3, 4, 3, 4, 3))
+        monkeypatch.setattr(nilpath.proofcheck, "walk_is_valid", counting)
+        assert naive_reflect(7, [3, 4, 5, 4, 3]) == (3, 4, 3, 4, 3)
         assert calls == [(3, 4, 5, 4, 3)]
 
     def test_matches_reflect_class3_at_the_naive_pivot(self):
@@ -594,14 +589,14 @@ class TestFindNaiveFailure:
     def test_witness_on_seven_path(self):
         w = find_naive_failure(7, 7)
         assert w is not None
-        assert w.vertices == (1, 2, 3, 4, 3, 2, 1, 2)
+        assert w == (1, 2, 3, 4, 3, 2, 1, 2)
         with pytest.raises(ReflectionOutOfBounds):
             naive_reflect(7, w)
 
     def test_witness_is_lexicographically_first(self):
         w = find_naive_failure(7, 7)
         for other in walks_of_length(7, 7):
-            if other.vertices >= w.vertices:
+            if other >= w:
                 break
             pivot = naive_pivot(other)
             if pivot is None:
@@ -627,7 +622,7 @@ class TestFindNaiveFailure:
     def test_respects_cap(self):
         # no length is refused: on two vertices the first walk of length 30
         # already escapes, since the pivot 2 mirrors the vertex 1 to 3
-        assert find_naive_failure(2, 30) == Walk((1, 2) * 15 + (1,))
+        assert find_naive_failure(2, 30) == (1, 2) * 15 + (1,)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

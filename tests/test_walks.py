@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from nilpath.cli import run
 from nilpath.gf2 import mat_from_entries, mat_mul, mat_pow, nilpotency_index, zero
+from nilpath.proofcheck import class2_decompose, classify, naive_reflect, reflect_class3
 from nilpath.walks import (
-    Walk,
     _count_exact,
     _family_parity,
-    _is_walk,
     _parity_vector,
     _walks,
     count_walks_exact,
@@ -64,23 +63,50 @@ class TestPathSpec:
 
 
 class TestWalk:
+    """A walk is a non-empty tuple of vertices: its length is one less than
+    its size, and its start and end are its first and last entries."""
+
+    # each shell that validates its walk, on the 7-path
+    SHELLS = {
+        "classify": lambda vs: classify(7, vs, 4),
+        "class2_decompose": lambda vs: class2_decompose(7, vs, 5),
+        "reflect_class3": lambda vs: reflect_class3(7, vs, 4),
+        "naive_reflect": lambda vs: naive_reflect(7, vs),
+    }
+
     def test_needs_a_vertex(self):
-        with pytest.raises(ValueError):
-            Walk(())
+        assert not walk_is_valid(7, ())
+        assert not walk_is_valid(7, [])
+        for shell in self.SHELLS.values():
+            with pytest.raises(ValueError, match="is not a valid walk"):
+                shell(())
 
     def test_length_start_end(self):
-        w = Walk((3, 4, 5, 4))
-        assert (w.length, w.start, w.end) == (3, 3, 4)
+        w = enumerate_walks(7, 3, 4, 3)[-1]
+        assert w == (3, 4, 5, 4)
+        assert (len(w) - 1, w[0], w[-1]) == (3, 3, 4)
+        assert all(len(w) - 1 == 3 and w[0] == 3 for w in iter_walks_from(7, 3, 3))
 
     def test_zero_length_walk(self):
-        w = Walk((5,))
-        assert (w.length, w.start, w.end) == (0, 5, 5)
+        assert enumerate_walks(7, 5, 5, 0) == [(5,)]
+        assert walk_is_valid(7, (5,))
+        assert classify(7, (5,), 5).pivot_visits == 1
 
-    def test_string_form(self):
-        assert str(Walk((1, 2, 1))) == "1-2-1"
+    def test_string_form(self, capsys):
+        # the command line prints a walk with its vertices joined by dashes
+        run(["naive-demo", "--n", "2", "--k", "2", "--format", "json"])
+        rows = {d["check"]: d for d in json.loads(capsys.readouterr().out)["details"]}
+        assert rows["witness walk"]["observed"] == "1-2-1"
 
     def test_accepts_any_iterable_of_vertices(self):
-        assert Walk(tuple([1, 2])).vertices == (1, 2)
+        # a list is read as the tuple of its vertices, and walks come back
+        # as tuples
+        assert classify(7, [4, 5, 4, 5], 4).pivot_visits == 2
+        split = class2_decompose(7, [3, 4, 5, 4, 3], 5)
+        assert (split.left, split.right) == ((3, 4), (4, 3))
+        for name in ("reflect_class3", "naive_reflect"):
+            image = self.SHELLS[name]([4, 5, 4, 5])
+            assert type(image) is tuple and image == (4, 3, 4, 5), name
 
 
 class TestPathAdjacency:
@@ -115,21 +141,21 @@ class TestPathAdjacency:
 
 class TestWalkIsValid:
     def test_up_and_down_the_path(self):
-        assert walk_is_valid(7, Walk((3, 4, 5, 6, 7, 6, 5, 4)))
+        assert walk_is_valid(7, ((3, 4, 5, 6, 7, 6, 5, 4)))
 
     def test_rejects_out_of_range(self):
-        assert not walk_is_valid(7, Walk((7, 8)))
-        assert not walk_is_valid(7, Walk((0, 1)))
+        assert not walk_is_valid(7, ((7, 8)))
+        assert not walk_is_valid(7, ((0, 1)))
 
     def test_rejects_self_loop(self):
-        assert not walk_is_valid(7, Walk((3, 3)))
+        assert not walk_is_valid(7, ((3, 3)))
 
     def test_rejects_jump(self):
-        assert not walk_is_valid(7, Walk((3, 5)))
+        assert not walk_is_valid(7, ((3, 5)))
 
     def test_single_vertex_in_range(self):
-        assert walk_is_valid(7, Walk((7,)))
-        assert not walk_is_valid(7, Walk((9,)))
+        assert walk_is_valid(7, ((7,)))
+        assert not walk_is_valid(7, ((9,)))
 
     @given(
         st.integers(1, 9),
@@ -141,27 +167,27 @@ class TestWalkIsValid:
         vs = tuple(accumulate(steps, initial=start))
         in_range = all(1 <= v <= n for v in vs)
         unit_steps = all(abs(b - a) == 1 for a, b in zip(vs, vs[1:]))
-        assert walk_is_valid(n, Walk(vs)) == (in_range and unit_steps)
-        assert _is_walk(n, vs) == (in_range and unit_steps)
+        assert walk_is_valid(n, vs) == (in_range and unit_steps)
+        assert walk_is_valid(n, list(vs)) == (in_range and unit_steps)
 
 
 class TestIterWalksFrom:
     def test_lexicographic_order(self):
-        ws = [w.vertices for w in iter_walks_from(5, 3, 4)]
+        ws = list(iter_walks_from(5, 3, 4))
         assert ws == sorted(ws)
 
     def test_matches_brute_force_listing(self):
         for n in range(1, 6):
             for x in range(1, n + 1):
                 for k in range(0, 8):
-                    mine = [w.vertices for w in iter_walks_from(n, x, k)]
+                    mine = list(iter_walks_from(n, x, k))
                     ref = []
                     for y in range(1, n + 1):
                         ref.extend(brute_force_walks(n, x, y, k))
                     assert mine == sorted(ref)
 
     def test_zero_length(self):
-        assert [w.vertices for w in iter_walks_from(4, 2, 0)] == [(2,)]
+        assert list(iter_walks_from(4, 2, 0)) == [(2,)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -229,36 +255,36 @@ class TestEnumerateWalks:
         assert enumerate_walks(1, 1, 1, 1) == []
 
     def test_unique_spanning_walk(self):
-        assert [w.vertices for w in enumerate_walks(7, 1, 7, 6)] == [
+        assert enumerate_walks(7, 1, 7, 6) == [
             (1, 2, 3, 4, 5, 6, 7)
         ]
 
     def test_unique_bounce_walk(self):
-        assert [w.vertices for w in enumerate_walks(3, 1, 1, 2)] == [(1, 2, 1)]
+        assert enumerate_walks(3, 1, 1, 2) == [(1, 2, 1)]
 
     def test_matches_brute_force(self):
         for n in range(1, 7):
             for k in range(0, 9):
                 for x in range(1, n + 1):
                     for y in range(1, n + 1):
-                        got = [w.vertices for w in enumerate_walks(n, x, y, k)]
+                        got = enumerate_walks(n, x, y, k)
                         assert got == brute_force_walks(n, x, y, k)
 
     def test_all_walks_valid_with_right_ends(self):
         for w in enumerate_walks(6, 2, 4, 8):
             assert walk_is_valid(6, w)
-            assert w.start == 2 and w.end == 4 and w.length == 8
+            assert w[0] == 2 and w[-1] == 4 and len(w) - 1 == 8
 
     def test_default_cap(self):
         # no length is refused: on two vertices a long length lists one walk
-        assert enumerate_walks(2, 1, 1, 100) == [Walk((1, 2) * 50 + (1,))]
+        assert enumerate_walks(2, 1, 1, 100) == [(1, 2) * 50 + (1,)]
 
     def test_cap_override(self):
         # lengths past the command line's bound of 24 are listed in full
         for (n, x, y, k), size in (((3, 2, 2, 26), 8192), ((4, 1, 2, 25), 75025)):
             walks = enumerate_walks(n, x, y, k)
             assert len(walks) == count_walks_exact(n, x, y, k) == size
-            assert walks[0].length == k
+            assert len(walks[0]) - 1 == k
 
     def test_rejects_bad_vertices(self):
         with pytest.raises(ValueError):
