@@ -7,7 +7,7 @@ the single visit. Class-3 walks pair up under reflection. Each class has
 even size, so the total is even.
 """
 
-from nilpath import ClassTag, class2_decompose, class_census, classify, enumerate_walks
+from nilpath import class2_decompose, class_census, classify, enumerate_walks
 
 
 def main():
@@ -15,8 +15,7 @@ def main():
     walks = enumerate_walks(n, x, y, k)
     print(f"The {len(walks)} walks of length {k} from {x} to {y} in P_{n}, classified:")
     for w in walks:
-        tag = classify(n, w, pivot).tag
-        print(f"   {str(w):17s} {tag.name}")
+        print(f"   {str(w):17s} class {classify(n, w, pivot)}")
     print()
 
     census = class_census(n, pivot, x, y, k)
@@ -32,13 +31,11 @@ def main():
         if c:
             print(f"  visit after {i} steps: {c} walks")
     print("Each of those counts is even, and here is one split in full:")
-    w = next(
-        w for w in walks if classify(n, w, pivot).tag is ClassTag.CLASS2
-    )
-    split = class2_decompose(n, w, pivot)
+    w = next(w for w in walks if classify(n, w, pivot) == 2)
+    prefix, suffix = class2_decompose(n, w, pivot)
     print(f"   walk  {w}")
-    print(f"   visit at step {split.step}")
-    print(f"   prefix {split.left}   suffix {split.right}")
+    print(f"   visit at step {len(prefix)}")
+    print(f"   prefix {prefix}   suffix {suffix}")
     print("The prefix lives left of the pivot, the suffix lives left too;")
     print("each half of P_7 is a copy of P_3, and the argument recurses.")
 

@@ -8,7 +8,7 @@ That is a bijective proof that the class has even size, and this script
 checks it by brute force.
 """
 
-from nilpath import ClassTag, classify, iter_walks_from, reflect_class3
+from nilpath import classify, iter_walks_from, reflect_class3
 
 
 def dashed(walk):
@@ -18,7 +18,7 @@ def dashed(walk):
 def class3_walks(n, pivot, k):
     for start in range(1, n + 1):
         for walk in iter_walks_from(n, start, k):
-            if classify(n, walk, pivot).tag is ClassTag.CLASS3:
+            if classify(n, walk, pivot) == 3:
                 yield walk
 
 

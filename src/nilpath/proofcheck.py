@@ -13,15 +13,16 @@ closed form, the case notes of the recursive certificate, and the tempting
 but broken variant of the reflection that picks its pivot by divisibility.
 
 A walk is a non-empty tuple of 1-based vertices, as the search in
-``walks`` yields it. The checking shells (``classify``,
-``class2_decompose``, ``reflect_class3`` and ``naive_reflect``) take any
-vertex sequence, turn it into a tuple and validate it once, and the ones
-that build walks return tuples.
+``walks`` yields it, and its class is the plain number 1, 2 or 3. A
+class-2 walk splits into two vertex tuples, the parts before and after
+its pivot visit, either of which may be empty. The checking shells
+(``classify``, ``class2_decompose``, ``reflect_class3`` and
+``naive_reflect``) take any vertex sequence, turn it into a tuple and
+validate it once, and the ones that build walks return tuples.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -36,9 +37,6 @@ from .walks import (
 )
 
 __all__ = [
-    "ClassTag",
-    "WalkClass",
-    "Class2Split",
     "ClassCensus",
     "ReflectionOutOfBounds",
     "classify",
@@ -55,35 +53,6 @@ __all__ = [
 
 class ReflectionOutOfBounds(Exception):
     """A reflected vertex left the range 1..n."""
-
-
-class ClassTag(enum.Enum):
-    CLASS1 = 1
-    CLASS2 = 2
-    CLASS3 = 3
-
-
-@dataclass(frozen=True)
-class WalkClass:
-    """Classification of a walk relative to a pivot vertex."""
-
-    tag: ClassTag
-    pivot_visits: int
-
-
-@dataclass(frozen=True)
-class Class2Split:
-    """A class-2 walk cut at its unique pivot visit.
-
-    ``step`` is the index of the visit; ``left`` is the vertex tuple before
-    it and ``right`` the one after, either of which is None when the visit
-    sits at the corresponding end of the walk. Both parts stay strictly on
-    one side of the pivot.
-    """
-
-    step: int
-    left: tuple[int, ...] | None
-    right: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -112,26 +81,32 @@ def _require_valid(n: int, vs: Sequence[int]) -> tuple[int, ...]:
     return vs
 
 
-def classify(n: int, vs: Sequence[int], pivot: int) -> WalkClass:
-    """Class of a walk by its number of pivot visits: 0, 1, or >= 2."""
+def classify(n: int, vs: Sequence[int], pivot: int) -> int:
+    """Class of a walk at pivot: 1, 2 or 3 for 0, 1 or >= 2 pivot visits.
+
+    Raises ValueError when vs is not a walk in the n-path or the pivot is
+    not a vertex of it.
+    """
     visits = _require_valid(n, vs).count(pivot)
     _check_args(n, pivot=pivot)
-    return WalkClass(ClassTag(min(visits, 2) + 1), visits)
+    return min(visits, 2) + 1
 
 
-def class2_decompose(n: int, vs: Sequence[int], pivot: int) -> Class2Split:
-    """Cut a class-2 walk at its unique pivot visit.
+def class2_decompose(n: int, vs: Sequence[int], pivot: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cut a class-2 walk at its unique pivot visit into (left, right).
 
-    Splicing left + pivot + right back together reproduces the walk.
+    ``left`` is the vertex tuple before the visit and ``right`` the one
+    after; either is empty when the visit ends the walk on that side, and
+    ``len(left)`` is the step of the visit. Both stay strictly on one side
+    of the pivot, and ``left + (pivot,) + right`` is the walk.
     """
     vs = tuple(vs)
-    wc = classify(n, vs, pivot)
-    if wc.tag is not ClassTag.CLASS2:
+    if classify(n, vs, pivot) != 2:
         raise ValueError(
-            f"walk {vs} visits pivot {pivot} {wc.pivot_visits} times, not once"
+            f"walk {vs} visits pivot {pivot} {vs.count(pivot)} times, not once"
         )
     i = vs.index(pivot)
-    return Class2Split(i, vs[:i] or None, vs[i + 1 :] or None)
+    return vs[:i], vs[i + 1 :]
 
 
 def reflect_class3(n: int, vs: Sequence[int], pivot: int) -> tuple[int, ...]:
@@ -148,10 +123,9 @@ def reflect_class3(n: int, vs: Sequence[int], pivot: int) -> tuple[int, ...]:
     on its tuple, which serves walks that the DFS produced.
     """
     vs = tuple(vs)
-    wc = classify(n, vs, pivot)
-    if wc.tag is not ClassTag.CLASS3:
+    if classify(n, vs, pivot) != 3:
         raise ValueError(
-            f"walk {vs} visits pivot {pivot} {wc.pivot_visits} times, "
+            f"walk {vs} visits pivot {pivot} {vs.count(pivot)} times, "
             "need at least two"
         )
     return _reflect(n, vs, pivot)

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilpath.proofcheck import (
-    ClassTag,
     ReflectionOutOfBounds,
     _reflect,
     class2_by_sides,
@@ -36,20 +35,17 @@ def walks_of_length(n, k):
 
 class TestClassify:
     def test_never_visits(self):
-        wc = classify(7, (1, 2, 1), 4)
-        assert wc.tag is ClassTag.CLASS1 and wc.pivot_visits == 0
+        assert classify(7, (1, 2, 1), 4) == 1
 
     def test_visits_once(self):
-        wc = classify(7, (1, 2, 3, 4, 3, 2, 1), 4)
-        assert wc.tag is ClassTag.CLASS2 and wc.pivot_visits == 1
+        assert classify(7, (1, 2, 3, 4, 3, 2, 1), 4) == 2
 
     def test_visits_twice(self):
-        wc = classify(7, (4, 5, 4), 4)
-        assert wc.tag is ClassTag.CLASS3 and wc.pivot_visits == 2
+        assert classify(7, (4, 5, 4), 4) == 3
 
     def test_endpoint_visits_count(self):
-        wc = classify(7, (4, 3, 4, 5, 4), 4)
-        assert wc.pivot_visits == 3
+        # three visits are still class 3
+        assert classify(7, (4, 3, 4, 5, 4), 4) == 3
 
     def test_rejects_invalid_walk(self):
         with pytest.raises(ValueError):
@@ -64,35 +60,27 @@ class TestClassify:
             for w in walks_of_length(5, k):
                 for pivot in range(1, 6):
                     visits = w.count(pivot)
-                    tag = classify(5, w, pivot).tag
-                    expected = (
-                        ClassTag.CLASS1
-                        if visits == 0
-                        else ClassTag.CLASS2
-                        if visits == 1
-                        else ClassTag.CLASS3
-                    )
-                    assert tag is expected
+                    expected = 1 if visits == 0 else 2 if visits == 1 else 3
+                    assert classify(5, w, pivot) == expected
 
 
 class TestClass2Decompose:
     def test_interior_visit(self):
-        split = class2_decompose(7, (1, 2, 3, 4, 3, 2, 1), 4)
-        assert split.step == 3
-        assert split.left == (1, 2, 3)
-        assert split.right == (3, 2, 1)
+        left, right = class2_decompose(7, (1, 2, 3, 4, 3, 2, 1), 4)
+        assert len(left) == 3
+        assert left == (1, 2, 3)
+        assert right == (3, 2, 1)
 
     def test_visit_at_start(self):
-        split = class2_decompose(7, (4, 3, 2, 1), 4)
-        assert split.step == 0
-        assert split.left is None
-        assert split.right == (3, 2, 1)
+        left, right = class2_decompose(7, (4, 3, 2, 1), 4)
+        assert left == ()
+        assert right == (3, 2, 1)
 
     def test_visit_at_end(self):
-        split = class2_decompose(7, (2, 3, 4), 4)
-        assert split.step == 2
-        assert split.left == (2, 3)
-        assert split.right is None
+        left, right = class2_decompose(7, (2, 3, 4), 4)
+        assert len(left) == 2
+        assert left == (2, 3)
+        assert right == ()
 
     def test_rejects_other_classes(self):
         with pytest.raises(ValueError):
@@ -104,17 +92,57 @@ class TestClass2Decompose:
         pivot = 4
         for k in range(0, 9):
             for w in walks_of_length(7, k):
-                if classify(7, w, pivot).tag is not ClassTag.CLASS2:
+                if classify(7, w, pivot) != 2:
                     continue
-                split = class2_decompose(7, w, pivot)
-                left = split.left or ()
-                right = split.right or ()
+                left, right = class2_decompose(7, w, pivot)
                 assert left + (pivot,) + right == w
                 # each part stays strictly on one side of the pivot
                 for part in (left, right):
                     assert all(v != pivot for v in part)
                     if part:
                         assert all((v < pivot) == (part[0] < pivot) for v in part)
+
+
+@st.composite
+def walks_and_pivots(draw):
+    """(n, walk, pivot) with n <= 40 and the pivot any vertex of the path.
+
+    Steps are drawn as in ``walks_with_a_repeated_vertex``, so every draw
+    is a valid walk (of length 0 on the 1-path). The pivot is a vertex of
+    the walk in about half the draws, so all three classes come up."""
+    n = draw(st.integers(1, 40))
+    vs = [draw(st.integers(1, n))]
+    for up in draw(st.lists(st.booleans(), max_size=40 if n > 1 else 0)):
+        v = vs[-1]
+        vs.append(v + 1 if (up and v < n) or v == 1 else v - 1)
+    return n, tuple(vs), draw(st.sampled_from(vs) | st.integers(1, n))
+
+
+class TestClassVocabulary:
+    @settings(max_examples=300)
+    @given(walks_and_pivots())
+    def test_class_is_the_capped_visit_count(self, case):
+        n, walk, pivot = case
+        visits = walk.count(pivot)
+        assert classify(n, walk, pivot) == min(visits, 2) + 1
+        if visits == 1:
+            left, right = class2_decompose(n, walk, pivot)
+            assert left + (pivot,) + right == walk
+            assert len(left) == walk.index(pivot)
+            for part in (left, right):
+                assert all(v < pivot for v in part) or all(v > pivot for v in part)
+        else:
+            with pytest.raises(ValueError) as exc:
+                class2_decompose(n, walk, pivot)
+            assert str(exc.value) == (
+                f"walk {walk} visits pivot {pivot} {visits} times, not once"
+            )
+        if visits < 2:
+            with pytest.raises(ValueError) as exc:
+                reflect_class3(n, walk, pivot)
+            assert str(exc.value) == (
+                f"walk {walk} visits pivot {pivot} {visits} times, need at least two"
+            )
 
 
 class TestReflectClass3:
@@ -146,13 +174,13 @@ class TestReflectClass3:
         pivot = 4
         for k in range(0, 8):
             for w in walks_of_length(7, k):
-                if classify(7, w, pivot).tag is not ClassTag.CLASS3:
+                if classify(7, w, pivot) != 3:
                     continue
                 image = reflect_class3(7, w, pivot)
                 assert walk_is_valid(7, image)
                 assert image != w
                 assert (image[0], image[-1], len(image)) == (w[0], w[-1], len(w))
-                assert classify(7, image, pivot).tag is ClassTag.CLASS3
+                assert classify(7, image, pivot) == 3
                 assert reflect_class3(7, image, pivot) == w
 
 
@@ -237,17 +265,11 @@ class TestClassCensus:
                     for y in range(1, n + 1):
                         walks = enumerate_walks(n, x, y, k)
                         for pivot in range(1, n + 1):
-                            tags = [classify(n, w, pivot) for w in walks]
+                            classes = Counter(classify(n, w, pivot) for w in walks)
                             census = class_census(n, pivot, x, y, k)
-                            assert census.c1 == sum(
-                                t.tag is ClassTag.CLASS1 for t in tags
-                            )
-                            assert census.c2 == sum(
-                                t.tag is ClassTag.CLASS2 for t in tags
-                            )
-                            assert census.c3 == sum(
-                                t.tag is ClassTag.CLASS3 for t in tags
-                            )
+                            assert census.c1 == classes[1]
+                            assert census.c2 == classes[2]
+                            assert census.c3 == classes[3]
                             for i in range(k + 1):
                                 expected = sum(
                                     1
