@@ -381,8 +381,9 @@ _COMMANDS: dict[str, tuple] = {
     ),
     # the parity route rotates a 2(n + 1)-bit state for each bit of k:
     # 0.55 s at --n 16777215 with --k 2^64 - 1. The exact route sums
-    # binomials of up to k bits, so --exact also bounds --k, last: 0.4 s
-    # at --n 16777216 --k 32767, whose 15 set bits make it the slowest.
+    # binomials of up to k bits, so --exact also bounds --k, last: about
+    # 0.5 s at --n 16777216 --k 32766 or 32767, the slowest, where the
+    # parity cross-check dominates; 0.23 s at --n 2 --k 32767.
     "walk-count": (
         _cmd_walk_count,
         "count walks between two vertices, exactly or mod 2",
@@ -430,7 +431,7 @@ _COMMANDS: dict[str, tuple] = {
          ("--y", None, None), ("--k", 0, 4096)],
         [],
     ),
-    # no walks row: the scan stops at its first witness; 1.1 s at --n 7
+    # no walks row: the scan stops at its first witness; 0.8 s at --n 7
     # --k 22, and 0.1 s at --n 1022 --k 0, where no witness exists
     "naive-demo": (
         _cmd_naive_demo,

@@ -140,13 +140,23 @@ def _reflect(n: int, vs: tuple[int, ...], pivot: int) -> tuple[int, ...]:
     first = vs.index(pivot)
     second = vs.index(pivot, first + 1)
     segment = vs[first + 1 : second]
+    if _escapes(n, segment, pivot):
+        v = next(v for v in segment if not 1 <= 2 * pivot - v <= n)
+        raise ReflectionOutOfBounds(f"vertex {v} reflects to {2 * pivot - v}, outside 1..{n}")
     # a list, not tuple(map(...)): that has no length hint, so it resizes a
     # spare tuple of another length, and the tuple free lists grow per call
     mirrored = [*map((2 * pivot).__sub__, segment)]
-    if mirrored and not (1 <= min(mirrored) and max(mirrored) <= n):
-        v, u = next((v, u) for v, u in zip(segment, mirrored) if not 1 <= u <= n)
-        raise ReflectionOutOfBounds(f"vertex {v} reflects to {u}, outside 1..{n}")
     return vs[: first + 1] + tuple(mirrored) + vs[second:]
+
+
+def _escapes(n: int, segment: tuple[int, ...], pivot: int) -> bool:
+    """True iff mirroring the segment in pivot takes a vertex out of 1..n.
+
+    The segment lies between two visits of pivot, so a walk never leaves it
+    empty, and its mirror spans 2 * pivot - max to 2 * pivot - min of it:
+    the bounds decide, and no mirrored vertex is formed.
+    """
+    return 2 * pivot - max(segment) < 1 or 2 * pivot - min(segment) > n
 
 
 def class_census(n: int, pivot: int, x: int, y: int, k: int) -> ClassCensus:
@@ -427,8 +437,10 @@ def find_naive_failure(n: int, k: int) -> tuple[int, ...] | None:
 
     Scans every walk of length k in the n-path in lexicographic order and
     returns the first one where ``naive_reflect`` leaves 1..n, or None when
-    the naive method happens to work everywhere at this size. No length is
-    refused; the scan lists up to n * 2^k walks before it finds a witness.
+    the naive method happens to work everywhere at this size. Each walk's
+    segment is tested by the escape rule of ``_reflect`` without being
+    mirrored. No length is refused; the scan lists up to n * 2^k walks
+    before it finds a witness.
     """
     _check_args(n, k)
     for start in range(1, n + 1):
@@ -436,8 +448,7 @@ def find_naive_failure(n: int, k: int) -> tuple[int, ...] | None:
             pivot = naive_pivot(vs)
             if pivot is None:
                 continue
-            try:
-                _reflect(n, vs, pivot)
-            except ReflectionOutOfBounds:
+            first = vs.index(pivot)
+            if _escapes(n, vs[first + 1 : vs.index(pivot, first + 1)], pivot):
                 return vs
     return None

@@ -3,7 +3,7 @@
 The path graph on n vertices has vertex set 1..n and an edge between each
 pair of consecutive integers. Walk counts between two vertices are computed
 three independent ways across this package: the method of images on the
-mirrored 2(n + 1)-cycle (exact, two binomial class sums), Frobenius
+mirrored 2(n + 1)-cycle (exact, one pass up half a binomial row), Frobenius
 doubling of rule 90 on the same cycle (mod 2, one rotation pair per set
 bit of k), and powers of the adjacency matrix. Brute-force enumeration
 backs them all at small sizes.
@@ -30,7 +30,7 @@ line alone.
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb, perm
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -182,24 +182,6 @@ def _family_parity(q: int, a: int, b: int, t: int) -> int:
     return int((alpha & ~t == 0) != (beta & ~t == 0))
 
 
-def _class_sum(k: int, r: int, s: int) -> int:
-    """Sum of C(k, u) over 0 <= u <= k with u = r (mod s).
-
-    Starts at the least such u; each step u -> u + s multiplies by the
-    falling factorial (k - u)...(k - u - s + 1) and divides, exactly, by
-    (u + 1)...(u + s).
-    """
-    u = r % s
-    total = term = comb(k, u)
-    while u + s <= k:
-        term = term * prod(range(k - u - s + 1, k - u + 1)) // prod(
-            range(u + 1, u + s + 1)
-        )
-        u += s
-        total += term
-    return total
-
-
 def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     """Exact number of length-k walks from x to y, as a Python int.
 
@@ -212,24 +194,58 @@ def count_walks_exact(n: int, x: int, y: int, k: int) -> int:
     C(k, u) = C(k, k - u) is the sum over the images of -y. A length-0
     walk exists exactly when x = y.
 
-    Cost: about 2k/(n + 1) terms, each one multiply and one exact division
-    of a k-bit integer by a product of n + 1 factors; for k <= n each class
-    is the single term C(k, u). Stepping a counting vector costs k steps
-    over n cells instead, which is cheaper only for tiny n and huge k
-    (n <= 8 with k = 30000), where the divisions dominate.
+    Cost: for k <= n each class is the single term C(k, u). Otherwise the
+    lower half of row k holds up to four visited residues per n + 1
+    entries, so about 2k/(n + 1) terms, each one multiply and one exact
+    division of a k-bit integer by a product of about (n + 1)/4 factors.
+    Stepping a counting vector costs k steps over n cells instead, which
+    is cheaper only for tiny n and huge k, where the divisions dominate:
+    at k = 30000 it wins below n = 8 and breaks even at n = 8.
     """
     _check_args(n, k, x=x, y=y)
     return _count_exact(n, x, y, k)
 
 
 def _count_exact(n: int, x: int, y: int, k: int) -> int:
-    """The image sum of ``count_walks_exact``: zero for the wrong parity,
-    else the two class sums. Arguments are not checked; ``verify-lemma``
-    calls it for every (x, y, k) of its table, in range by construction."""
+    """The image sum of ``count_walks_exact``, in one pass up half a row.
+
+    Zero for the wrong parity. Otherwise C(k, u) counts +1 for u in the
+    class a = (k + y - x)/2 and -1 for u in the class b = (k + y + x)/2,
+    mod n + 1; for k < n + 1 each class is the single term C(k, u). Else
+    C(k, u) = C(k, k - u) folds the terms above k/2 onto the classes k - a
+    and k - b below it, with the same signs, so ``weight`` holds the net
+    count of each residue, -2 to 2, and the pass visits the u <= k/2 whose
+    residue has a nonzero one. Each visited term is the one before it,
+    from C(k, 0) = 1, times the ratio of two falling factorials of the
+    gap. The central term of an even row is its own mirror, counted twice,
+    so one count comes off at the end. Arguments are not checked;
+    ``verify-lemma`` calls it for every (x, y, k) of its table, in range by
+    construction.
+    """
     if (k + y - x) % 2:
         return 0
     s = n + 1
-    return _class_sum(k, (k + y - x) // 2, s) - _class_sum(k, (k + y + x) // 2, s)
+    a = (k + y - x) // 2 % s
+    b = (k + y + x) // 2 % s
+    if k < s:
+        return comb(k, a) - comb(k, b)
+    weight = [0] * s
+    weight[a] = 1
+    weight[b] = -1
+    weight[(k - a) % s] += 1
+    weight[(k - b) % s] -= 1
+    half = k // 2
+    u = total = 0
+    term = 1  # C(k, 0)
+    for v in range(half + 1):
+        w = weight[v % s]
+        if w:
+            term = term * perm(k - u, v - u) // perm(v, v - u)
+            total += w * term
+            u = v
+    if k % 2 == 0:
+        total -= weight[half % s] // 2 * term  # nonzero only if u = k/2
+    return total
 
 
 def _parity_vector(n: int, x: int, k: int) -> int:

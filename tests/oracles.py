@@ -3,7 +3,8 @@
 Each function here recomputes something the library computes, by a route
 the library does not share: bit-at-a-time matrix products, a GF(2) rank by
 elimination, recursive walk listing, integer and mod-2 counting vectors
-stepped once per unit of length, the three-term recurrence of leading
+stepped once per unit of length, the method of images summed one class at
+a time over the whole binomial row, the three-term recurrence of leading
 minors and a symbolic cofactor determinant for the characteristic
 polynomial, and a certificate replay that checks every visit offset of
 every length one at a time. Agreement between the two routes is what the
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
+from math import comb, prod
 from operator import add
 
 from nilpath.gf2 import GF2Matrix
@@ -91,6 +93,39 @@ def stepping_count(n: int, x: int, y: int, k: int) -> int:
     for _ in range(k):
         counts = [0, *map(add, counts, counts[2:]), 0]
     return counts[y]
+
+
+def _class_sum(k: int, r: int, s: int) -> int:
+    """Sum of C(k, u) over 0 <= u <= k with u = r (mod s).
+
+    Starts at the least such u; each step u -> u + s multiplies by the
+    falling factorial (k - u)...(k - u - s + 1) and divides, exactly, by
+    (u + 1)...(u + s).
+    """
+    u = r % s
+    total = term = comb(k, u)
+    while u + s <= k:
+        term = term * prod(range(k - u - s + 1, k - u + 1)) // prod(
+            range(u + 1, u + s + 1)
+        )
+        u += s
+        total += term
+    return total
+
+
+def image_sum_count(n: int, x: int, y: int, k: int) -> int:
+    """Exact length-k walk count from x to y by the method of images, one
+    class at a time.
+
+    Zero when k + y - x is odd, else the sum of C(k, u) over the whole row
+    for u = (k + y - x)/2 (mod n + 1) less the sum for u = (k + y + x)/2,
+    each class summed on its own with steps of n + 1 factors. The library
+    folds the row in half and takes both classes in one pass.
+    """
+    if (k + y - x) % 2:
+        return 0
+    s = n + 1
+    return _class_sum(k, (k + y - x) // 2, s) - _class_sum(k, (k + y + x) // 2, s)
 
 
 def stepping_parity(n: int, x: int, y: int, k: int) -> int:

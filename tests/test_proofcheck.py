@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nilpath.proofcheck import (
     ReflectionOutOfBounds,
+    _escapes,
     _reflect,
     class2_by_sides,
     class2_decompose,
@@ -19,6 +20,7 @@ from nilpath.proofcheck import (
     theorem_check,
 )
 from nilpath.walks import (
+    _walks,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -627,6 +629,30 @@ class TestFindNaiveFailure:
                 reflect_class3(7, other, pivot)
             except ReflectionOutOfBounds:
                 pytest.fail(f"{other} precedes the reported witness")
+
+    def test_bounds_test_matches_the_mirrored_vertices(self):
+        # the scan tests the segment's bounds; the reflection forms its
+        # mirror, and both must agree with the definition of an escape
+        for n in range(1, 10):
+            witnesses = {}  # length -> first escaping walk, in scan order
+            for x in range(1, n + 1):
+                for w in _walks(n, x, 10, None):
+                    pivot = naive_pivot(w)
+                    if pivot is None:
+                        continue
+                    first = w.index(pivot)
+                    segment = w[first + 1 : w.index(pivot, first + 1)]
+                    escapes = not all(1 <= 2 * pivot - v <= n for v in segment)
+                    assert _escapes(n, segment, pivot) == escapes, w
+                    try:
+                        image = _reflect(n, w, pivot)
+                    except ReflectionOutOfBounds:
+                        assert escapes, w
+                        witnesses.setdefault(len(w) - 1, w)
+                    else:
+                        assert not escapes and walk_is_valid(n, image), w
+            for k in range(11):
+                assert find_naive_failure(n, k) == witnesses.get(k), (n, k)
 
     def test_single_vertex_never_fails(self):
         assert find_naive_failure(1, 5) is None

@@ -22,7 +22,7 @@ from nilpath.walks import (
     walk_is_valid,
 )
 
-from oracles import brute_force_walks, stepping_count, stepping_parity
+from oracles import brute_force_walks, image_sum_count, stepping_count, stepping_parity
 
 
 @st.composite
@@ -39,6 +39,31 @@ def exact_count_cases(draw):
         | st.integers(0, n)
         | st.integers(0, 3000)
     )
+    return n, x, y, k
+
+
+@st.composite
+def image_sum_cases(draw):
+    """(n, x, y, k) with n <= 2^24, k <= 4000 and k + y - x even. n leans
+    small, so that the row folds over many classes, and k leans to n,
+    n + 1 and n + 2, where the one-term case ends."""
+    n = draw(
+        st.sampled_from([1, 2])
+        | st.integers(1, 60)
+        | st.integers(1, 4000)
+        | st.integers(1, 2**24)
+    )
+    x = draw(st.integers(1, n))
+    y = draw(st.integers(1, n))
+    lengths = st.integers(0, 4000)
+    if n <= 3998:
+        lengths |= st.sampled_from([n, n + 1, n + 2])
+    k = draw(lengths)
+    if (k + y - x) % 2:
+        if n == 1:
+            k += 1
+        else:
+            y += 1 if y < n else -1
     return n, x, y, k
 
 
@@ -361,6 +386,28 @@ class TestCountWalksExact:
     def test_matches_stepping_oracle(self, case):
         n, x, y, k = case
         assert count_walks_exact(n, x, y, k) == stepping_count(n, x, y, k)
+
+    @given(image_sum_cases())
+    @example((12, 3, 5, 12))  # k = n: one term per class
+    @example((12, 3, 4, 13))  # k = n + 1: the first folded row
+    @example((12, 3, 5, 14))
+    @example((6, 3, 3, 40))  # x = y: the central C(40, 20) is in class a
+    @example((9, 3, 7, 40))  # x + y = n + 1: class b is its own mirror
+    @example((1, 1, 1, 2))
+    @example((1, 1, 1, 4000))
+    @example((2, 1, 2, 32767))
+    @example((50, 18, 10, 16482))
+    @example((30000, 15000, 15000, 32766))
+    def test_matches_the_per_class_image_sum(self, case):
+        n, x, y, k = case
+        assert count_walks_exact(n, x, y, k) == image_sum_count(n, x, y, k)
+
+    def test_small_rows_match_the_per_class_image_sum(self):
+        for n in range(1, 10):
+            for x in range(1, n + 1):
+                for y in range(1, n + 1):
+                    for k in range(61):
+                        assert _count_exact(n, x, y, k) == image_sum_count(n, x, y, k)
 
     def test_unchecked_core_equals_the_checked_count(self):
         # verify-lemma calls the core once per (x, y, k) of its table
