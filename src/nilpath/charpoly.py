@@ -40,17 +40,12 @@ class GF2Poly:
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"
-        # one pass over the binary digits, highest degree first; a
-        # power-of-two base is exempt from the int/str digit limit
-        terms = []
-        for d, digit in zip(range(self.degree, -1, -1), format(self.bits, "b")):
-            if digit == "1":
-                if d == 0:
-                    terms.append("1")
-                elif d == 1:
-                    terms.append("x")
-                else:
-                    terms.append(f"x^{d}")
+        # peel the set bits highest first: the cost follows the terms, not the degree
+        terms, bits = [], self.bits
+        while bits:
+            d = bits.bit_length() - 1
+            bits ^= 1 << d
+            terms.append(f"x^{d}" if d > 1 else "x" if d else "1")
         return " + ".join(terms)
 
 

@@ -439,7 +439,7 @@ _COMMANDS: dict[str, tuple] = {
         [("--n", 1, 1024), ("--k", 0, 22)],
         [],
     ),
-    # the matching polynomial, a bit test per term: 0.11 s at the limit
+    # the matching polynomial, a bit test per term: 0.09 s at the limit
     "charpoly": (
         _cmd_charpoly,
         "characteristic polynomial of the path adjacency matrix mod 2",

@@ -116,7 +116,10 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
             acc ^= brows[top]
             row ^= 1 << top
         out.append(acc)
-    return GF2Matrix(a.n, tuple(out))
+    # XORs of in-range rows are in range: no row scan
+    product = object.__new__(GF2Matrix)
+    product.__dict__.update(n=a.n, rows=tuple(out))
+    return product
 
 
 def mat_pow(a: GF2Matrix, k: int) -> GF2Matrix:
@@ -143,7 +146,7 @@ def mat_pow(a: GF2Matrix, k: int) -> GF2Matrix:
 
 def mat_is_zero(a: GF2Matrix) -> bool:
     """True iff every entry is 0."""
-    return all(row == 0 for row in a.rows)
+    return not any(a.rows)
 
 
 def nilpotency_index(a: GF2Matrix) -> int | None:

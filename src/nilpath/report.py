@@ -3,14 +3,15 @@
 A report is a list of detail rows, each comparing an expected value against
 an observed one; the verdict is "pass" exactly when every row agrees.
 Rendering is deterministic: the same report content always produces the
-same bytes, except for the elapsed-time field.
+same bytes, except for the elapsed-time field. ``render_json`` writes its
+layout directly; ``json.dumps(to_json_dict(), indent=2)`` is its test oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
@@ -58,10 +59,10 @@ class ParityReport:
         return self.verdict == "pass"
 
     def renamed(self, command: str) -> "ParityReport":
-        return replace(self, command=command)
+        return ParityReport(command, self.parameters, self.verdict, self.details, self.elapsed_ms)
 
     def with_elapsed(self, elapsed_ms: float) -> "ParityReport":
-        return replace(self, elapsed_ms=elapsed_ms)
+        return ParityReport(self.command, self.parameters, self.verdict, self.details, elapsed_ms)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -123,28 +124,49 @@ def render_text(report: ParityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json(value: Any, indent: str = "\n  ") -> str:
-    """``json.dumps(value, indent=2)``, written directly: with ``indent``,
-    json falls back to its pure-Python encoder, which costs more than most
-    checks. Strings and numbers are spelled as json spells them."""
+_WORDS = {None: "null", True: "true", False: "false"}
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value: Any) -> str:
+    """One value as json spells it, any other type as its text. Not
+    ``json.dumps``: with ``indent`` it runs its slow pure-Python encoder."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
+    if value is None or value is True or value is False:
+        return _WORDS[value]
     if isinstance(value, (int, float)):
         text = (int if isinstance(value, int) else float).__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    # indent starts each item of value; its own brackets sit two spaces left
-    if isinstance(value, dict):
-        items = [f"{_json(k)}: {_json(v, indent + '  ')}" for k, v in value.items()]
-        return f"{{{indent}{(',' + indent).join(items)}{indent[:-2]}}}" if items else "{}"
-    items = [_json(v, indent + "  ") for v in value]
-    return f"[{indent}{(',' + indent).join(items)}{indent[:-2]}]" if items else "[]"
+        return _FLOATS.get(text, text)
+    return encode_basestring_ascii(str(value))
+
+
+_ROW = (
+    '    {{\n      "check": {},\n      "expected": {},\n'
+    '      "observed": {},\n      "provenance": {}\n    }}'
+)
+_REPORT = (
+    '{{\n  "command": {},\n  "parameters": {},\n  "verdict": {},\n'
+    '  "details": {},\n  "elapsed_ms": {}\n}}\n'
+)
 
 
 def render_json(report: ParityReport) -> str:
-    """One JSON object per report, keys in a fixed order."""
-    return _json(report.to_json_dict()) + "\n"
+    """One JSON object per report, keys in a fixed order, indented by two."""
+    params = ",\n".join(f"    {_scalar(k)}: {_scalar(v)}" for k, v in report.parameters.items())
+    rows = ",\n".join(
+        _ROW.format(
+            _scalar(d.check), _scalar(d.expected), _scalar(d.observed), _scalar(d.provenance)
+        )
+        for d in report.details
+    )
+    return _REPORT.format(
+        _scalar(report.command),
+        "{\n" + params + "\n  }" if params else "{}",
+        _scalar(report.verdict),
+        "[\n" + rows + "\n  ]" if rows else "[]",
+        _scalar(report.elapsed_ms),
+    )
 
 
 def render_csv(report: ParityReport) -> str:

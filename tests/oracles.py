@@ -6,9 +6,9 @@ elimination, recursive walk listing, integer and mod-2 counting vectors
 stepped once per unit of length, the method of images summed one class at
 a time over the whole binomial row, the three-term recurrence of leading
 minors and a symbolic cofactor determinant for the characteristic
-polynomial, and a certificate replay that checks every visit offset of
-every length one at a time. Agreement between the two routes is what the
-tests assert.
+polynomial, its text read one binary digit at a time, and a certificate
+replay that checks every visit offset of every length one at a time.
+Agreement between the two routes is what the tests assert.
 """
 
 from __future__ import annotations
@@ -211,6 +211,26 @@ def cofactor_charpoly_bits(n: int) -> int:
         if c % 2:
             bits |= 1 << d
     return bits
+
+
+def digit_poly_text(bits: int) -> str:
+    """The text of the GF(2) polynomial with coefficient bits ``bits``, one
+    binary digit at a time: the same terms as ``str(GF2Poly(bits))``, which
+    visits only the set bits."""
+    if bits == 0:
+        return "0"
+    # one pass over the binary digits, highest degree first; a
+    # power-of-two base is exempt from the int/str digit limit
+    terms = []
+    for d, digit in zip(range(bits.bit_length() - 1, -1, -1), format(bits, "b")):
+        if digit == "1":
+            if d == 0:
+                terms.append("1")
+            elif d == 1:
+                terms.append("x")
+            else:
+                terms.append(f"x^{d}")
+    return " + ".join(terms)
 
 
 def per_offset_replay(

@@ -1,6 +1,9 @@
 import inspect
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nilpath.charpoly
 import nilpath.gf2
@@ -13,7 +16,7 @@ from nilpath.charpoly import (
 from nilpath.gf2 import nilpotency_index
 from nilpath.walks import path_adjacency
 
-from oracles import cofactor_charpoly_bits, recurrence_charpoly_bits
+from oracles import cofactor_charpoly_bits, digit_poly_text, recurrence_charpoly_bits
 
 
 class TestGF2Poly:
@@ -32,6 +35,20 @@ class TestGF2Poly:
         assert str(GF2Poly(0b10)) == "x"
         assert str(GF2Poly(0b111)) == "x^2 + x + 1"
         assert str(GF2Poly(0b1000001)) == "x^6 + 1"
+        assert str(GF2Poly(1 << 2**24 | 1)) == "x^16777216 + 1"
+
+    def test_string_form_matches_the_digit_scan(self):
+        for bits in range(2**12):
+            assert str(GF2Poly(bits)) == digit_poly_text(bits), bits
+
+    # a few terms anywhere below x^(2^20); the scan visits all 2^20 digits
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=20)
+    @example(0, 0)
+    def test_sparse_string_form_matches_the_digit_scan(self, seed, terms):
+        rng = random.Random(seed)
+        bits = sum(1 << d for d in rng.sample(range(2**20), terms))
+        assert str(GF2Poly(bits)) == digit_poly_text(bits)
 
 
 class TestCharpolyPath:

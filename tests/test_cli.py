@@ -16,10 +16,10 @@ import nilpath
 from nilpath import cli
 from nilpath.cli import run
 from nilpath.proofcheck import ClassCensus, class_census
-from nilpath.report import Detail, ParityReport
+from nilpath.report import Detail, ParityReport, render_json
 from nilpath.walks import iter_walks_from
 
-from argv_corpus import MALFORMED, SMALL, answer, corpus, well_formed_calls
+from argv_corpus import MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
 
 
 def run_cli(capsys, *argv):
@@ -1077,6 +1077,12 @@ class TestOutputFormats:
             "details",
             "elapsed_ms",
         ]
+
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_json_bytes_equal_json_dumps_on_real_reports(self, command):
+        args = cli._parse(argv_of(command, well_formed_calls(command)[0]))
+        report = args.handler(args).with_elapsed(0.25)
+        assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
     def test_identical_argv_identical_report(self, capsys):
         argv = ["census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1",

@@ -216,6 +216,16 @@ class TestMatMul:
         assert mat_mul(a, b) == bitwise_broadcast(a, b)
         assert mat_mul(a, a) == bitwise_broadcast(a, a)
 
+    # a product skips the row scan of GF2Matrix; the checked constructor
+    # must accept it unchanged, and still refuse a row out of range
+    @given(st.integers(1, 64), shares, shares, seeds, seeds)
+    def test_product_passes_the_constructor_checks(self, n, share_a, share_b, seed_a, seed_b):
+        p = mat_mul(mixed_square(n, share_a, seed_a), mixed_square(n, share_b, seed_b))
+        assert GF2Matrix(p.n, p.rows) == p
+        for bad in (1 << p.n, -1):
+            with pytest.raises(ValueError):
+                GF2Matrix(p.n, p.rows[:-1] + (p.rows[-1] ^ bad,))
+
 
 class TestMatPow:
     def test_power_zero_is_identity(self):
