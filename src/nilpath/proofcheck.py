@@ -137,16 +137,15 @@ def _reflect(n: int, vs: tuple[int, ...], pivot: int) -> tuple[int, ...]:
     vs must visit pivot at least twice. On an escape, the message names the
     first vertex of the segment whose mirror leaves 1..n.
     """
-    first = vs.index(pivot)
-    second = vs.index(pivot, first + 1)
-    segment = vs[first + 1 : second]
-    if _escapes(n, segment, pivot):
-        v = next(v for v in segment if not 1 <= 2 * pivot - v <= n)
-        raise ReflectionOutOfBounds(f"vertex {v} reflects to {2 * pivot - v}, outside 1..{n}")
-    # a list, not tuple(map(...)): that has no length hint, so it resizes a
-    # spare tuple of another length, and the tuple free lists grow per call
-    mirrored = [*map((2 * pivot).__sub__, segment)]
-    return vs[: first + 1] + tuple(mirrored) + vs[second:]
+    first = vs.index(pivot) + 1
+    second = vs.index(pivot, first)
+    segment = vs[first:second]
+    twice = 2 * pivot
+    # the rule of _escapes, inline
+    if twice - max(segment) < 1 or twice - min(segment) > n:
+        v = next(v for v in segment if not 1 <= twice - v <= n)
+        raise ReflectionOutOfBounds(f"vertex {v} reflects to {twice - v}, outside 1..{n}")
+    return (*vs[:first], *map(twice.__sub__, segment), *vs[second:])
 
 
 def _escapes(n: int, segment: tuple[int, ...], pivot: int) -> bool:

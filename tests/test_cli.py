@@ -761,11 +761,70 @@ class TestVerifyLemma:
         assert products == [5] * 7
 
     def test_a_wrong_count_is_a_mismatch_in_every_pair(self, capsys, monkeypatch):
+        # every one of the n^2 (max_k + 1) counts is made, zeros included
+        calls = []
         real = cli._count_exact
-        monkeypatch.setattr(cli, "_count_exact", lambda *args: real(*args) + 1)
+        monkeypatch.setattr(cli, "_count_exact", lambda *args: calls.append(args) or real(*args) + 1)
         code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "3", "--max-k", "2")
         assert code == 1
         assert [d["observed"] for d in parsed["details"]] == ["9 mismatches"] * 3
+        ends = range(1, 4)
+        assert sorted(calls) == [(3, x, y, k) for x in ends for y in ends for k in range(3)]
+
+    # one route made wrong at the single pair x = 2, y = 3 (3 walks) at k = 3
+    BAD = (2, 3, 3)
+
+    @staticmethod
+    def _wrong_count(monkeypatch):
+        real = cli._count_exact
+        bad = TestVerifyLemma.BAD
+        monkeypatch.setattr(
+            cli, "_count_exact", lambda n, x, y, k: real(n, x, y, k) + ((x, y, k) == bad)
+        )
+
+    @staticmethod
+    def _wrong_power(monkeypatch):
+        real = cli._integer_powers
+        x, y, bad_k = TestVerifyLemma.BAD
+
+        def powers(n, max_k):
+            for k, power in enumerate(real(n, max_k)):
+                if k == bad_k:
+                    # a copy: the next power is computed from this one
+                    power = [row[:] for row in power]
+                    power[x - 1][y - 1] += 1
+                yield power
+
+        monkeypatch.setattr(cli, "_integer_powers", powers)
+
+    @staticmethod
+    def _dropped_walk(monkeypatch):
+        real = cli._walks
+        x, y, k = TestVerifyLemma.BAD
+
+        def walks(n, start, max_k, end):
+            dropped = start != x
+            for vs in real(n, start, max_k, end):
+                if not dropped and len(vs) == k + 1 and vs[-1] == y:
+                    dropped = True
+                    continue
+                yield vs
+
+        monkeypatch.setattr(cli, "_walks", walks)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [["_wrong_count"], ["_wrong_power"], ["_dropped_walk"], ["_wrong_count", "_wrong_power"]],
+    )
+    def test_one_wrong_pair_is_one_mismatch(self, capsys, monkeypatch, faults):
+        # the whole-table compare fails at k = 3 only, and the entry count
+        # finds the one pair, once however many of its routes are wrong
+        for fault in faults:
+            getattr(self, fault)(monkeypatch)
+        code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "4", "--max-k", "5")
+        assert code == 1
+        observed = [d["observed"] for d in parsed["details"]]
+        assert observed == ["0 mismatches"] * 3 + ["1 mismatches"] + ["0 mismatches"] * 2
 
 
 class TestVerifyTheorem:
