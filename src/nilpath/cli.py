@@ -10,7 +10,9 @@ its work estimates. ``_table`` is the one decoder of an entry, and three
 readers share what it decodes: ``_parse`` reads a well-formed call;
 argparse, built on first use, serves help, usage errors and any other
 spelling; and ``_check_limits`` checks the limits once after parsing,
-before any work starts.
+before any work starts. A handler returns its parameters and report
+rows; ``run`` times it and builds the one report, named after the
+command, from them.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _value_row(check: str, value: object, provenance: str) -> Detail:
     return Detail(check, value, value, provenance)
 
 
-def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
+def _cmd_check_nilpotent(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     if args.m is not None:
         m, n = args.m, 2**args.m - 1
     else:
@@ -109,12 +111,10 @@ def _cmd_check_nilpotent(args: argparse.Namespace) -> ParityReport:
             "e_1 is a cyclic vector; Frobenius doubling on the mirrored cycle",
         )
     )
-    return ParityReport.from_details(
-        "check-nilpotent", {"m": m, "n": n}, details
-    )
+    return {"m": m, "n": n}, details
 
 
-def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
+def _cmd_walk_count(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, x, y, k = args.n, args.x, args.y, args.k
     params = {"n": n, "x": x, "y": y, "k": k, "mode": args.mode}
     details = []
@@ -143,17 +143,17 @@ def _cmd_walk_count(args: argparse.Namespace) -> ParityReport:
                 "Frobenius doubling on the mirrored cycle",
             )
         )
-    return ParityReport.from_details("walk-count", params, details)
+    return params, details
 
 
-def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
+def _cmd_verify_lemma(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, max_k = args.n, args.max_k
     params = {"n": n, "max_k": max_k}
     # listed[k][x - 1][y - 1]: the length-k walks x -> y, from one DFS per x
     listed = [[[0] * n for _ in range(n)] for _ in range(max_k + 1)]
     for x in range(1, n + 1):
         rows = [table[x - 1] for table in listed]
-        for vs in _walks(n, x, max_k, None):
+        for vs in _walks(n, x, max_k):
             rows[len(vs) - 1][vs[-1] - 1] += 1
     details = []
     ends = range(1, n + 1)
@@ -173,10 +173,10 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> ParityReport:
                 f"{n * n} endpoint pairs, {sum(map(sum, walks))} walks listed",
             )
         )
-    return ParityReport.from_details("verify-lemma", params, details)
+    return params, details
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
+def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     if args.all:
         if any(v is not None for v in (args.m, args.k, args.x, args.y)):
             raise ValueError("--all cannot be combined with --m/--k/--x/--y")
@@ -198,7 +198,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
                         f"{n * n} endpoint pairs certified",
                     )
                 )
-        return ParityReport.from_details("verify-theorem", {"all": True}, details)
+        return {"all": True}, details
     missing = [
         name
         for name, v in (("--m", args.m), ("--k", args.k), ("--x", args.x), ("--y", args.y))
@@ -206,10 +206,11 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> ParityReport:
     ]
     if missing:
         raise ValueError(f"needs {' '.join(missing)} (or --all)")
-    return theorem_check(args.m, args.k, args.x, args.y).renamed("verify-theorem")
+    report = theorem_check(args.m, args.k, args.x, args.y)
+    return report.parameters, report.details
 
 
-def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
+def _cmd_involution_test(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, k = 2**args.m - 1, args.k
     pivot = 2 ** (args.m - 1)
     params = {"m": args.m, "n": n, "k": k, "pivot": pivot}
@@ -219,7 +220,7 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
     # valid, so they are classified by counting pivot visits and reflected
     # unchecked, and only the images are validated
     for start in range(1, n + 1):
-        for vs in _walks(n, start, k, None):
+        for vs in _walks(n, start, k):
             if vs.count(pivot) < 2:
                 continue
             tested += 1
@@ -247,10 +248,10 @@ def _cmd_involution_test(args: argparse.Namespace) -> ParityReport:
         Detail("no fixed points", 0, bad_fixed, src),
         Detail("applying twice restores the walk", 0, bad_double, src),
     ]
-    return ParityReport.from_details("involution-test", params, details)
+    return params, details
 
 
-def _cmd_census(args: argparse.Namespace) -> ParityReport:
+def _cmd_census(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, pivot, x, y, k = args.n, args.pivot, args.x, args.y, args.k
     census = class_census(n, pivot, x, y, k)
     total = count_walks_exact(n, x, y, k)
@@ -281,10 +282,10 @@ def _cmd_census(args: argparse.Namespace) -> ParityReport:
             "offset i = pivot reached after exactly i steps",
         ),
     ]
-    return ParityReport.from_details("census", params, details)
+    return params, details
 
 
-def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
+def _cmd_naive_demo(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, k = args.n, args.k
     witness = find_naive_failure(n, k)
     params = {"n": n, "k": k}
@@ -321,10 +322,10 @@ def _cmd_naive_demo(args: argparse.Namespace) -> ParityReport:
         )
         if escape is not None:
             details.append(_value_row("escape detail", escape, "reflection attempt"))
-    return ParityReport.from_details("naive-demo", params, details)
+    return params, details
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
+def _cmd_charpoly(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n = args.n
     poly = charpoly_path(n)
     params = {"n": n, "check_monomial": args.check_monomial}
@@ -344,7 +345,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> ParityReport:
                 "every coefficient below the top vanishes",
             )
         )
-    return ParityReport.from_details("charpoly", params, details)
+    return params, details
 
 
 # Every subcommand, declared once as (handler, help, flag rows, work rows).
@@ -572,7 +573,8 @@ def _render(fmt: str, report: ParityReport) -> str:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv, run one subcommand, print its report, return the exit code."""
+    """Parse argv, run one subcommand, build and print its one report, and
+    return the exit code, which the report's rows decide."""
     try:
         args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -581,11 +583,12 @@ def run(argv: Sequence[str]) -> int:
     try:
         _check_limits(args)
         started = time.perf_counter()
-        report = args.handler(args)
+        params, details = args.handler(args)
     except ValueError as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)
         return 2
-    report = report.with_elapsed((time.perf_counter() - started) * 1000.0)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    report = ParityReport(args.command, params, tuple(details), elapsed_ms)
     sys.stdout.write(_render(args.format, report))
     return 0 if report.passed else 1
 

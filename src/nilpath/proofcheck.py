@@ -383,7 +383,7 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
             "Frobenius doubling on the mirrored cycle, independent of the class split",
         )
     )
-    return ParityReport.from_details("theorem-check", params, details)
+    return ParityReport("theorem-check", params, tuple(details))
 
 
 def _parity_word(count: int) -> str:

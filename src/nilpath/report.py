@@ -1,10 +1,13 @@
 """Structured pass/fail reports with text, JSON, and CSV rendering.
 
-A report is a list of detail rows, each comparing an expected value against
-an observed one; the verdict is "pass" exactly when every row agrees.
-Rendering is deterministic: the same report content always produces the
-same bytes, except for the elapsed-time field. ``render_json`` writes its
-layout directly; ``json.dumps(to_json_dict(), indent=2)`` is its test oracle.
+A report is a command's name, its parameters, a tuple of detail rows, each
+comparing an expected value against an observed one, and the elapsed time.
+The verdict is not stored: it is read from the rows, "pass" exactly when
+every row agrees. The command line builds each report once, with the
+constructor, after its handler returns the rows. Rendering is
+deterministic: the same report content always produces the same bytes,
+except for the elapsed-time field. ``render_json`` writes its layout
+directly; ``json.dumps(to_json_dict(), indent=2)`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 __all__ = ["Detail", "ParityReport", "render_text", "render_json", "render_csv"]
 
@@ -34,35 +37,21 @@ class Detail:
 
 @dataclass(frozen=True)
 class ParityReport:
-    """Verdict over a batch of checks, serializable for machine consumers."""
+    """A command's rows, serializable for machine consumers. The verdict is
+    read from the rows, so no report can say "pass" over a failing one."""
 
     command: str
     parameters: dict[str, Any]
-    verdict: str
     details: tuple[Detail, ...]
-    elapsed_ms: float
-
-    @classmethod
-    def from_details(
-        cls,
-        command: str,
-        parameters: Mapping[str, Any],
-        details: Iterable[Detail],
-        elapsed_ms: float = 0.0,
-    ) -> "ParityReport":
-        rows = tuple(details)
-        verdict = "pass" if all(d.passed for d in rows) else "fail"
-        return cls(command, dict(parameters), verdict, rows, elapsed_ms)
+    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return all(d.passed for d in self.details)
 
-    def renamed(self, command: str) -> "ParityReport":
-        return ParityReport(command, self.parameters, self.verdict, self.details, self.elapsed_ms)
-
-    def with_elapsed(self, elapsed_ms: float) -> "ParityReport":
-        return ParityReport(self.command, self.parameters, self.verdict, self.details, elapsed_ms)
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

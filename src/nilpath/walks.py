@@ -9,18 +9,19 @@ bit of k), and powers of the adjacency matrix. Brute-force enumeration
 backs them all at small sizes.
 
 This module is the only place that walks a path, counts on it and checks
-walk arguments. ``_walks`` is the single depth-first search: it yields
-every node of its search tree as a plain vertex tuple, so one pass from a
-start vertex lists the walks of every length up to k, and every walk
-listing, with or without a fixed end vertex, picks its nodes from it. A
-walk is such a tuple in every module of the package: the public listings
-return the tuples as the search yields them, and ``walk_is_valid`` checks
-any vertex sequence against a path. ``_integer_powers`` yields the integer
-adjacency powers one product apart, for the reference route of
-``verify-lemma`` and for ``integer_adjacency_power``. ``_count_vectors`` is the
-single counting step, behind the exact three-class census, which passes
-the vertex its walks must avoid, the class-2 count from side segments,
-and the command line's estimate of how many walks an enumeration lists.
+walk arguments. ``_walks`` is the single depth-first search, and it has
+one mode: it yields every node of its search tree as a plain vertex
+tuple, so one pass from a start vertex lists the walks of every length up
+to k, and every walk listing, with or without a fixed end vertex, picks
+its nodes from it. A walk is such a tuple in every module of the
+package: the public listings return the tuples as the search yields
+them, and ``walk_is_valid`` checks any vertex sequence against a path.
+``_integer_powers`` yields the integer adjacency powers one product
+apart, for the reference route of ``verify-lemma`` and for
+``integer_adjacency_power``. ``_count_vectors`` is the single counting
+step, behind the exact three-class census, which passes the vertex its
+walks must avoid, the class-2 count from side segments, and the command
+line's estimate of how many walks an enumeration lists.
 ``_family_parity`` is the image sum read mod 2 in closed form on paths of
 2^q - 1 vertices, behind the class parities of ``theorem_check``.
 ``_check_args`` validates the walk arguments of the functions in both
@@ -79,25 +80,19 @@ def walk_is_valid(n: int, vs: Sequence[int]) -> bool:
     return bool(vs) and 1 <= min(vs) and max(vs) <= n and {*map(sub, vs[1:], vs)} <= {1, -1}
 
 
-def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
-    """The one DFS: every node of the search tree, as a vertex tuple.
+def _walks(n: int, x: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The one DFS: every walk from x of length at most k, as a vertex tuple.
 
-    With y = None the nodes are all the walks from x of length at most k,
-    each prefix before its extensions, so the order is lexicographic.
-    With a target y the search keeps only prefixes that can still end at
-    y after exactly k steps. Each step moves the position and the
-    remaining length by one, so the parity of their difference is fixed
-    and checked once here; the loop prunes only prefixes too far from y
-    to get back in time. The caller picks the nodes it needs, such as the
-    length-k ones, and arguments are not checked.
+    The nodes of the search tree are the walks themselves, each prefix
+    before its extensions, so the order is lexicographic. The caller picks
+    the nodes it needs, such as the length-k ones or those ending at a
+    given vertex, and arguments are not checked.
 
     The stack holds the tuples themselves, and a child is its parent plus
     one vertex, bounded by 1 and n where it is formed, so nothing is
     built per call and the first node costs O(1) whatever n is. Children
     of length k are leaves: they are yielded at once, never pushed.
     """
-    if y is not None and (abs(x - y) > k or (k - x + y) % 2):
-        return
     stack = [(x,)]
     while stack:
         w = stack.pop()
@@ -108,14 +103,14 @@ def _walks(n: int, x: int, k: int, y: int | None) -> Iterator[tuple[int, ...]]:
         v = w[-1]
         if room:
             # pushed in reverse, so the lower child comes off first
-            if v < n and (y is None or abs(v + 1 - y) <= room):
+            if v < n:
                 stack.append(w + (v + 1,))
-            if v > 1 and (y is None or abs(v - 1 - y) <= room):
+            if v > 1:
                 stack.append(w + (v - 1,))
         else:
-            if v > 1 and (y is None or abs(v - 1 - y) <= room):
+            if v > 1:
                 yield w + (v - 1,)
-            if v < n and (y is None or abs(v + 1 - y) <= room):
+            if v < n:
                 yield w + (v + 1,)
 
 
@@ -125,19 +120,20 @@ def iter_walks_from(n: int, x: int, k: int) -> Iterator[tuple[int, ...]]:
     Arguments are checked at the call, before the first walk is asked for.
     """
     _check_args(n, k, x=x)
-    return (vs for vs in _walks(n, x, k, None) if len(vs) > k)
+    return (vs for vs in _walks(n, x, k) if len(vs) > k)
 
 
 def enumerate_walks(n: int, x: int, y: int, k: int) -> list[tuple[int, ...]]:
     """All length-k walks from x to y, in lexicographic order of vertex tuples.
 
-    The search prunes any prefix that cannot reach y in the remaining steps
-    (too far away, or wrong parity), so the cost is linear in the output.
-    There can be up to 2^k walks, and no length is refused: a path of one
-    or two vertices has at most one walk per length.
+    The one DFS lists every walk from x of length at most k and this keeps
+    those of length k that end at y, so the cost follows every walk from x,
+    not only the output: up to 2^(k+1) nodes, even when no walk reaches y.
+    No length is refused: a path of one or two vertices has at most one
+    walk per length.
     """
     _check_args(n, k, x=x, y=y)
-    return [vs for vs in _walks(n, x, k, y) if len(vs) > k]
+    return [vs for vs in _walks(n, x, k) if len(vs) > k and vs[-1] == y]
 
 
 def _count_vectors(

@@ -33,6 +33,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def failing_rows(capsys, *argv):
+    """The checks of the rows that fail, for a call that must fail cleanly:
+    exit 1, verdict "fail" and nothing on stderr."""
+    code, parsed, err = run_json(capsys, *argv)
+    assert (code, parsed["verdict"], err) == (1, "fail", "")
+    return [d["check"] for d in parsed["details"] if d["expected"] != d["observed"]]
+
+
 def int_digit_limit():
     """The interpreter's int-to-text digit limit, or None where it has none."""
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -384,7 +392,7 @@ class TestExitCodes:
     def test_walks_row_counts_what_the_search_lists(self):
         for n in range(1, 9):
             for k in range(9):
-                listed = sum(1 for x in range(1, n + 1) for _ in cli._walks(n, x, k, None))
+                listed = sum(1 for x in range(1, n + 1) for _ in cli._walks(n, x, k))
                 assert cli._walks_listed(n, k) == listed, (n, k)
         assert cli._walks_listed(3, 17) == 3577
         assert cli._walks_listed(15, 20) == 18788741
@@ -625,6 +633,32 @@ class TestCheckNilpotent:
         rows = {d["check"]: d for d in parsed["details"]}
         assert rows["corner entry (1, 63) of A^62"]["observed"] == 1
 
+    @pytest.mark.parametrize(
+        "route, fault, failing",
+        [
+            # sets bit 0, a walk ending at vertex 1, so the corner bit
+            # that count_walks_parity reads from it stays right
+            (
+                nilpath.walks._parity_vector,
+                lambda real: lambda *a: real(*a) | 1,
+                ["A^7 e_1 over GF(2)"],
+            ),
+            (
+                nilpath.walks.count_walks_parity,
+                lambda real: lambda *a: 0,
+                ["corner entry (1, 7) of A^6"],
+            ),
+            (
+                nilpath.gf2.nilpotency_index,
+                lambda real: lambda a: None,
+                ["A^7 over GF(2)", "nilpotency index"],
+            ),
+        ],
+    )
+    def test_a_wrong_route_fails_only_its_own_rows(self, capsys, rebind, route, fault, failing):
+        rebind(route, fault(route))
+        assert failing_rows(capsys, "check-nilpotent", "--m", "3") == failing
+
     def test_cyclic_vector_row_agrees_with_matrix_row(self, capsys):
         for n in range(1, 301):
             code, parsed, _ = run_json(capsys, "check-nilpotent", "--n", str(n))
@@ -727,9 +761,9 @@ class TestVerifyLemma:
         starts = []
         real = nilpath.walks._walks
 
-        def counting(n, x, k, y):
-            starts.append((x, k, y))
-            return real(n, x, k, y)
+        def counting(n, x, k):
+            starts.append((x, k))
+            return real(n, x, k)
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify-lemma must not re-search per endpoint pair")
@@ -739,7 +773,7 @@ class TestVerifyLemma:
             monkeypatch.setattr(module, "enumerate_walks", refuse, raising=False)
         code, parsed, _ = run_json(capsys, "verify-lemma", "--n", "5", "--max-k", "7")
         assert code == 0
-        assert starts == [(x, 7, None) for x in range(1, 6)]
+        assert starts == [(x, 7) for x in range(1, 6)]
         provenance = [d["provenance"] for d in parsed["details"]]
         assert provenance[0] == "25 endpoint pairs, 5 walks listed"
         assert provenance[7] == "25 endpoint pairs, 216 walks listed"
@@ -802,9 +836,9 @@ class TestVerifyLemma:
         real = cli._walks
         x, y, k = TestVerifyLemma.BAD
 
-        def walks(n, start, max_k, end):
+        def walks(n, start, max_k):
             dropped = start != x
-            for vs in real(n, start, max_k, end):
+            for vs in real(n, start, max_k):
                 if not dropped and len(vs) == k + 1 and vs[-1] == y:
                     dropped = True
                     continue
@@ -835,6 +869,17 @@ class TestVerifyTheorem:
         assert code == 0
         assert parsed["command"] == "verify-theorem"
         assert parsed["verdict"] == "pass"
+
+    def test_an_odd_class_three_fails_only_its_row(self, capsys, rebind):
+        real = nilpath.proofcheck._family_census
+
+        def odd_c3(*args):
+            c1, odd_offsets, c3 = real(*args)
+            return c1, odd_offsets, c3 + 1
+
+        rebind(real, odd_c3)
+        argv = ("verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2")
+        assert failing_rows(capsys, *argv) == ["class 3: two or more midpoint visits"]
 
     def test_below_bound_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -908,9 +953,7 @@ class TestVerifyTheorem:
     def test_full_sweep_lists_the_first_failing_pairs(self, capsys, monkeypatch):
         def odd_into_vertex_one(m, k, x, y):
             observed = "odd" if y == 1 else "even"
-            return ParityReport.from_details(
-                "theorem-check", {}, [Detail("parity", "even", observed, "")]
-            )
+            return ParityReport("theorem-check", {}, (Detail("parity", "even", observed, ""),))
 
         monkeypatch.setattr(cli, "theorem_check", odd_into_vertex_one)
         code, parsed, _ = run_json(capsys, "verify-theorem", "--all")
@@ -1137,10 +1180,22 @@ class TestOutputFormats:
             "elapsed_ms",
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, *SMALL[command]] for command in cli._COMMANDS]
+        # calls off the paper's family, whose reports fail
+        + [["check-nilpotent", "--n", "6"], ["charpoly", "--n", "6", "--check-monomial"],
+           ["naive-demo", "--n", "3", "--k", "3"]],
+    )
+    def test_the_report_names_its_command_and_its_verdict_sets_the_exit(self, capsys, argv):
+        code, parsed, err = run_json(capsys, *argv)
+        assert (parsed["command"], err) == (argv[0], "")
+        assert code == (0 if parsed["verdict"] == "pass" else 1)
+
     @pytest.mark.parametrize("command", sorted(SMALL))
     def test_json_bytes_equal_json_dumps_on_real_reports(self, command):
         args = cli._parse(argv_of(command, well_formed_calls(command)[0]))
-        report = args.handler(args).with_elapsed(0.25)
+        report = ParityReport(command, *args.handler(args), 0.25)
         assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
     def test_identical_argv_identical_report(self, capsys):

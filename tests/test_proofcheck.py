@@ -636,7 +636,7 @@ class TestFindNaiveFailure:
         for n in range(1, 10):
             witnesses = {}  # length -> first escaping walk, in scan order
             for x in range(1, n + 1):
-                for w in _walks(n, x, 10, None):
+                for w in _walks(n, x, 10):
                     pivot = naive_pivot(w)
                     if pivot is None:
                         continue

@@ -241,35 +241,19 @@ class TestSearch:
             for x in range(1, n + 1):
                 ref = self.brute_nodes(n, x, 8)
                 for k in range(9):
-                    mine = list(_walks(n, x, k, None))
+                    mine = list(_walks(n, x, k))
                     expected = sorted(
                         w for (_, length), ws in ref.items() if length <= k for w in ws
                     )
                     assert mine == expected, (n, x, k)
-
-    def test_target_keeps_exactly_the_prefixes_that_reach_it(self):
-        # a path with an edge can bounce, so every prefix close enough to y
-        # with the right parity extends to a length-k walk ending at y
-        for n in range(2, 8):
-            for x in range(1, n + 1):
-                ref = self.brute_nodes(n, x, 8)
-                for k in range(9):
-                    for y in range(1, n + 1):
-                        mine = list(_walks(n, x, k, y))
-                        prefixes = {
-                            w[: length + 1]
-                            for w in ref[y, k]
-                            for length in range(k + 1)
-                        }
-                        assert mine == sorted(prefixes), (n, x, k, y)
 
 
 class TestSearchCost:
     def test_first_nodes_do_not_depend_on_n(self):
         # a search builds nothing per vertex of the path, so a huge n costs
         # nothing before the first node
-        assert list(_walks(2**40, 5, 1, None)) == [(5,), (5, 4), (5, 6)]
-        assert list(_walks(2**40, 2**40, 1, 2**40 - 1)) == [
+        assert list(_walks(2**40, 5, 1)) == [(5,), (5, 4), (5, 6)]
+        assert list(_walks(2**40, 2**40, 1)) == [
             (2**40,), (2**40, 2**40 - 1)
         ]
 
