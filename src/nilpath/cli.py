@@ -89,28 +89,23 @@ def _cmd_check_nilpotent(args: argparse.Namespace) -> tuple[dict, Sequence[Detai
             index if index is not None else "none (not nilpotent)",
             "smallest e with A^e = 0",
         ),
-    ]
-    if n > 1:
         # the same entry as bit (1, n) of A^(n-1), by Frobenius doubling on
-        # the mirrored cycle
-        details.append(
-            Detail(
-                f"corner entry (1, {n}) of A^{n - 1}",
-                1,
-                count_walks_parity(n, 1, n, n - 1),
-                "the length bound is tight: one walk spans the whole path",
-            )
-        )
-    # e_1 is a cyclic vector of A, so A^n = 0 iff A^n e_1 = 0: a second
-    # route to the first row that shares nothing with the power chain
-    details.append(
+        # the mirrored cycle; at n = 1 it is the one entry of A^0 = I
+        Detail(
+            f"corner entry (1, {n}) of A^{n - 1}",
+            1,
+            count_walks_parity(n, 1, n, n - 1),
+            "the length bound is tight: one walk spans the whole path",
+        ),
+        # e_1 is a cyclic vector of A, so A^n = 0 iff A^n e_1 = 0: a second
+        # route to the first row that shares nothing with the power chain
         Detail(
             f"A^{n} e_1 over GF(2)",
             "zero vector",
             "zero vector" if _parity_vector(n, 1, n) == 0 else "nonzero vector",
             "e_1 is a cyclic vector; Frobenius doubling on the mirrored cycle",
-        )
-    )
+        ),
+    ]
     return {"m": m, "n": n}, details
 
 
@@ -415,8 +410,9 @@ _COMMANDS: dict[str, tuple] = {
                     "help": "sweep m <= 4, n <= k <= n + 4, every endpoint pair"})],
         [],
     ),
-    # --m 1 has a single vertex and no midpoint to reflect across; 0.12 s
-    # at --m 10 --k 6, which lists 129,575 walks
+    # --m 1 is refused: the one vertex of P_1 is its midpoint, and it has
+    # no class-3 walk to reflect; 0.12 s at --m 10 --k 6, which lists
+    # 129,575 walks
     "involution-test": (
         _cmd_involution_test,
         "exhaustively test the midpoint reflection on class-3 walks",
@@ -458,7 +454,7 @@ def _table(command: str) -> tuple[list, dict, dict, set]:
     for a switch), the value a switch stores, its row and its bounds; the
     namespace argparse starts from; and the rows of which one flag must be
     given."""
-    handler, _, spec, _ = _COMMANDS[command]
+    spec = _COMMANDS[command][2]
     rows, flags, defaults, required = [], {}, {}, set()
     for row, entry in enumerate((_FORMAT, *spec)):
         rows.append([])
@@ -472,7 +468,7 @@ def _table(command: str) -> tuple[list, dict, dict, set]:
             defaults.setdefault(dest, kw.get("default", False if store_true else None))
         if all(bounds and kw.get("required", True) for _, bounds, kw in rows[row]):
             required.add(row)
-    return rows, flags, {**defaults, "handler": handler, "command": command}, required
+    return rows, flags, {**defaults, "command": command}, required
 
 
 def _check_limits(args: argparse.Namespace) -> None:
@@ -508,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, help_text, _, _) in _COMMANDS.items():
+    for command, (_, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         rows, _, _, required = _table(command)
         for row, members in enumerate(rows):
@@ -518,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 if bounds:
                     kw = {"type": int, "required": not group and row in required, **kw}
                 (group or p).add_argument(flag, **kw)
-        p.set_defaults(handler=handler, command=command)
     return parser
 
 
@@ -583,7 +578,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         _check_limits(args)
         started = time.perf_counter()
-        params, details = args.handler(args)
+        params, details = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -238,7 +238,7 @@ def class2_by_sides(n: int, pivot: int, x: int, y: int, k: int) -> int:
 
 
 def _family_census(m: int, x: int, y: int, k: int) -> tuple[int, list[int], int]:
-    """``class_census`` mod 2 at the midpoint of the 2^m - 1 path, for m >= 2.
+    """``class_census`` mod 2 at the midpoint of the 2^m - 1 path, for m >= 1.
 
     Returns the parity of c1, the visit offsets whose class-2 count is
     odd, and the parity of c3. The split at the first midpoint visit is the
@@ -327,7 +327,10 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     submask tests per factor at each visit offset below the midpoint, so
     O(2^(m-1)) tests whatever k is), and cross-checks the total against
     the mod-2 count by Frobenius doubling.
-    The report carries one row per class plus the cross-check.
+    The report carries one row per class plus the cross-check, at every m:
+    the base case P_1, whose only vertex is its midpoint, is certified by
+    the same rows, with classes 1 and 3 empty and every class-2 offset
+    structurally empty.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -337,52 +340,35 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     _check_args(n, k, x=x, y=y)
 
     params = {"m": m, "n": n, "k": k, "x": x, "y": y}
-    details: list[Detail] = []
-    if m == 1:
-        details.append(
-            Detail(
-                "walk count in the single-vertex path",
-                "even",
-                _parity_word(count_walks_parity(1, 1, 1, k)),
-                "base case: no edges, so no walks of positive length",
-            )
-        )
-    else:
-        class1_note, class2_note = _certificate_notes(m, k, x, y)
-        c1, odd_offsets, c3 = _family_census(m, x, y, k)
-        details.append(
-            Detail(
-                "class 1: walks avoiding the midpoint",
-                "even",
-                _parity_word(c1),
-                class1_note,
-            )
-        )
-        details.append(
-            Detail(
-                "class 2: single midpoint visit, every visit offset",
-                "even",
-                "even" if not odd_offsets else f"odd at offsets {odd_offsets}",
-                class2_note,
-            )
-        )
-        details.append(
-            Detail(
-                "class 3: two or more midpoint visits",
-                "even",
-                _parity_word(c3),
-                "paired by reflecting between the first two midpoint visits; "
-                "the exact midpoint keeps every reflection inside 1..n",
-            )
-        )
-    details.append(
+    class1_note, class2_note = _certificate_notes(m, k, x, y)
+    c1, odd_offsets, c3 = _family_census(m, x, y, k)
+    details = [
+        Detail(
+            "class 1: walks avoiding the midpoint",
+            "even",
+            _parity_word(c1),
+            class1_note,
+        ),
+        Detail(
+            "class 2: single midpoint visit, every visit offset",
+            "even",
+            "even" if not odd_offsets else f"odd at offsets {odd_offsets}",
+            class2_note,
+        ),
+        Detail(
+            "class 3: two or more midpoint visits",
+            "even",
+            _parity_word(c3),
+            "paired by reflecting between the first two midpoint visits; "
+            "the exact midpoint keeps every reflection inside 1..n",
+        ),
         Detail(
             "mod-2 walk count",
             0,
             count_walks_parity(n, x, y, k),
             "Frobenius doubling on the mirrored cycle, independent of the class split",
-        )
-    )
+        ),
+    ]
     return ParityReport("theorem-check", params, tuple(details))
 
 

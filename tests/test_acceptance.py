@@ -54,8 +54,7 @@ def test_criterion_2_nilpotency_index_is_exactly_n():
     for m in range(1, 13):
         n = 2**m - 1
         a = path_adjacency(n)
-        if n > 1:
-            assert mat_pow(a, n - 1).bit(1, n) == 1, f"corner bit clear at n={n}"
+        assert mat_pow(a, n - 1).bit(1, n) == 1, f"corner bit clear at n={n}"
         assert nilpotency_index(a) == n, f"index != {n} at n={n}"
     report(
         "criterion 2 - entry (1, n) of A^(n-1) is 1, so the nilpotency "
@@ -93,8 +92,7 @@ def test_criterion_4_theorem_parity_with_certificates():
                     assert count_walks_parity(n, x, y, k) == 0
                     rpt = theorem_check(m, k, x, y)
                     assert rpt.passed
-                    expected_rows = 2 if m == 1 else 4
-                    assert len(rpt.details) == expected_rows
+                    assert len(rpt.details) == 4
                     assert all(d.passed for d in rpt.details)
                     cases += 1
     report(

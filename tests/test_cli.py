@@ -597,6 +597,81 @@ class TestReadmeLimits:
         assert spans == 13
 
 
+NILPOTENT = ("check-nilpotent", "--m", "3")
+THEOREM = ("verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2")
+CENSUS = ("census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "8")
+
+
+class TestFaultTable:
+    """Every row that can fail, failed alone: a route whose result is
+    edited fails exactly the rows that read it, with exit 1 and nothing on
+    stderr. ``_family_census`` returns (c1, odd_offsets, c3)."""
+
+    @pytest.mark.parametrize(
+        "argv, route, edit, failing",
+        [
+            # sets bit 0, a walk ending at vertex 1, so the corner bit
+            # that count_walks_parity reads from it stays right
+            pytest.param(
+                NILPOTENT, nilpath.walks._parity_vector, lambda v: v | 1,
+                ["A^7 e_1 over GF(2)"], id="check-nilpotent-cyclic-vector",
+            ),
+            pytest.param(
+                NILPOTENT, nilpath.walks.count_walks_parity, lambda b: 0,
+                ["corner entry (1, 7) of A^6"], id="check-nilpotent-corner",
+            ),
+            pytest.param(
+                ("check-nilpotent", "--m", "1"), nilpath.walks.count_walks_parity,
+                lambda b: 0, ["corner entry (1, 1) of A^0"], id="check-nilpotent-m1-corner",
+            ),
+            pytest.param(
+                NILPOTENT, nilpath.gf2.nilpotency_index, lambda index: None,
+                ["A^7 over GF(2)", "nilpotency index"], id="check-nilpotent-index",
+            ),
+            pytest.param(
+                ("walk-count", "--exact", "--n", "7", "--x", "3", "--y", "2", "--k", "7"),
+                nilpath.walks.count_walks_parity, lambda b: b ^ 1,
+                ["parity route agrees mod 2"], id="walk-count-parity",
+            ),
+            pytest.param(
+                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0] + 1, c[1], c[2]),
+                ["class 1: walks avoiding the midpoint"], id="verify-theorem-class-1",
+            ),
+            pytest.param(
+                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], [*c[1], 0], c[2]),
+                ["class 2: single midpoint visit, every visit offset"],
+                id="verify-theorem-class-2",
+            ),
+            pytest.param(
+                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
+                ["class 3: two or more midpoint visits"], id="verify-theorem-class-3",
+            ),
+            pytest.param(
+                ("verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"),
+                nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
+                ["class 3: two or more midpoint visits"], id="verify-theorem-m1-class-3",
+            ),
+            pytest.param(
+                THEOREM, nilpath.walks.count_walks_parity, lambda b: 1,
+                ["mod-2 walk count"], id="verify-theorem-mod-2",
+            ),
+            pytest.param(
+                CENSUS, nilpath.walks.count_walks_exact, lambda c: c + 1,
+                ["classes partition all walks"], id="census-partition",
+            ),
+            pytest.param(
+                CENSUS, nilpath.proofcheck.class2_by_sides, lambda c: c + 1,
+                ["per-offset class-2 counts sum to class 2"], id="census-offset-sum",
+            ),
+        ],
+    )
+    def test_a_wrong_route_fails_only_its_own_rows(
+        self, capsys, rebind, argv, route, edit, failing
+    ):
+        rebind(route, lambda *args: edit(route(*args)))
+        assert failing_rows(capsys, *argv) == failing
+
+
 class TestCheckNilpotent:
     def test_reports_index(self, capsys):
         code, parsed, _ = run_json(capsys, "check-nilpotent", "--m", "3")
@@ -632,32 +707,6 @@ class TestCheckNilpotent:
         assert calls == [62]
         rows = {d["check"]: d for d in parsed["details"]}
         assert rows["corner entry (1, 63) of A^62"]["observed"] == 1
-
-    @pytest.mark.parametrize(
-        "route, fault, failing",
-        [
-            # sets bit 0, a walk ending at vertex 1, so the corner bit
-            # that count_walks_parity reads from it stays right
-            (
-                nilpath.walks._parity_vector,
-                lambda real: lambda *a: real(*a) | 1,
-                ["A^7 e_1 over GF(2)"],
-            ),
-            (
-                nilpath.walks.count_walks_parity,
-                lambda real: lambda *a: 0,
-                ["corner entry (1, 7) of A^6"],
-            ),
-            (
-                nilpath.gf2.nilpotency_index,
-                lambda real: lambda a: None,
-                ["A^7 over GF(2)", "nilpotency index"],
-            ),
-        ],
-    )
-    def test_a_wrong_route_fails_only_its_own_rows(self, capsys, rebind, route, fault, failing):
-        rebind(route, fault(route))
-        assert failing_rows(capsys, "check-nilpotent", "--m", "3") == failing
 
     def test_cyclic_vector_row_agrees_with_matrix_row(self, capsys):
         for n in range(1, 301):
@@ -869,17 +918,6 @@ class TestVerifyTheorem:
         assert code == 0
         assert parsed["command"] == "verify-theorem"
         assert parsed["verdict"] == "pass"
-
-    def test_an_odd_class_three_fails_only_its_row(self, capsys, rebind):
-        real = nilpath.proofcheck._family_census
-
-        def odd_c3(*args):
-            c1, odd_offsets, c3 = real(*args)
-            return c1, odd_offsets, c3 + 1
-
-        rebind(real, odd_c3)
-        argv = ("verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2")
-        assert failing_rows(capsys, *argv) == ["class 3: two or more midpoint visits"]
 
     def test_below_bound_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -1195,7 +1233,7 @@ class TestOutputFormats:
     @pytest.mark.parametrize("command", sorted(SMALL))
     def test_json_bytes_equal_json_dumps_on_real_reports(self, command):
         args = cli._parse(argv_of(command, well_formed_calls(command)[0]))
-        report = ParityReport(command, *args.handler(args), 0.25)
+        report = ParityReport(command, *cli._COMMANDS[command][0](args), 0.25)
         assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
     def test_identical_argv_identical_report(self, capsys):

@@ -334,7 +334,7 @@ def _census_mod_2(m, x, y, k):
 class TestParityCensus:
     def test_is_the_exact_census_mod_2(self):
         odd = Counter()
-        for m in (2, 3, 4):
+        for m in (1, 2, 3, 4):
             n = 2**m - 1
             for k in range(3 * n + 1):
                 for x in range(1, n + 1):
@@ -396,22 +396,21 @@ class TestClass2BySides:
 
 class TestTheoremCheck:
     def test_single_vertex_base_case(self):
-        report = theorem_check(1, 1, 1, 1)
-        assert report.passed
-        assert report.command == "theorem-check"
-        assert len(report.details) == 2
-
-    def test_single_vertex_base_case_reads_only_the_parity(self, monkeypatch):
-        import nilpath.proofcheck
-
-        def refuse(*args):
-            raise AssertionError("the m = 1 row needs no exact count")
-
-        # proofcheck does not import it; the patch catches a call added later
-        monkeypatch.setattr(
-            nilpath.proofcheck, "count_walks_exact", refuse, raising=False
-        )
-        assert theorem_check(1, 100000, 1, 1).passed
+        # P_1 gets the rows of every m: its only vertex is the midpoint
+        for k in (*range(1, 65), 10**12):
+            report = theorem_check(1, k, 1, 1)
+            assert report.passed
+            assert report.command == "theorem-check"
+            assert [d.check for d in report.details] == [
+                "class 1: walks avoiding the midpoint",
+                "class 2: single midpoint visit, every visit offset",
+                "class 3: two or more midpoint visits",
+                "mod-2 walk count",
+            ]
+            assert [d.provenance for d in report.details[:2]] == [
+                "empty: an endpoint equals the midpoint 1",
+                f"visit offsets 0..{k}: {k + 1} structurally empty",
+            ]
 
     def test_figure_sized_case(self):
         report = theorem_check(3, 7, 3, 2)
