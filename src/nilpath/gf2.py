@@ -13,7 +13,8 @@ each left row has its bits peeled off one at a time, highest first. Powers
 keep the sparse factor on the left: every power A^(2^j) of the path
 adjacency matrix has at most two bits per row, because
 (x + x^-1)^(2^j) = x^(2^j) + x^-(2^j) over GF(2) (Martin, Odlyzko &
-Wolfram, CMP 1984).
+Wolfram, CMP 1984). A power step that needs both ``base * result`` and
+``base * base`` peels the rows of ``base`` once for the two (``_mul_pair``).
 """
 
 from __future__ import annotations
@@ -116,9 +117,30 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
             acc ^= brows[top]
             row ^= 1 << top
         out.append(acc)
+    return _product(a.n, out)
+
+
+def _mul_pair(a: GF2Matrix, b: GF2Matrix, c: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
+    """``(mat_mul(a, b), mat_mul(a, c))``, peeling each row of ``a`` once
+    for both products. The three matrices must share one dimension."""
+    brows, crows = b.rows, c.rows
+    out_b, out_c = [], []
+    for row in a.rows:
+        acc_b = acc_c = 0
+        while row:
+            top = row.bit_length() - 1
+            acc_b ^= brows[top]
+            acc_c ^= crows[top]
+            row ^= 1 << top
+        out_b.append(acc_b)
+        out_c.append(acc_c)
+    return _product(a.n, out_b), _product(a.n, out_c)
+
+
+def _product(n: int, rows: list[int]) -> GF2Matrix:
     # XORs of in-range rows are in range: no row scan
     product = object.__new__(GF2Matrix)
-    product.__dict__.update(n=a.n, rows=tuple(out))
+    product.__dict__.update(n=n, rows=tuple(rows))
     return product
 
 
@@ -129,16 +151,19 @@ def mat_pow(a: GF2Matrix, k: int) -> GF2Matrix:
     repeated square ``base = a^(2^j)`` as the left factor. Powers of one
     matrix commute, so the order does not change the result; it puts the
     factor that stays sparse for the path matrix where ``mat_mul`` pays
-    per set bit.
+    per set bit. A step that needs both products forms them in one pass.
     """
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
     result: GF2Matrix | None = None
     base = a
     while k:
-        if k & 1:
+        bit, k = k & 1, k >> 1
+        if bit and result is not None and k:
+            result, base = _mul_pair(base, result, base)
+            continue
+        if bit:
             result = base if result is None else mat_mul(base, result)
-        k >>= 1
         if k:
             base = mat_mul(base, base)
     return identity(a.n) if result is None else result

@@ -9,6 +9,7 @@ The grammar of a call is read from the command table, ``cli._table`` over
   member, switch and ``--format`` choice, and each of those reordered;
 - the small call with each int flag spelled ``--flag=value``, and with the
   value of its first flag replaced by each of ``MALFORMED``;
+- the calls of ``EXTRA``, accepted calls that the rules above miss;
 - ``-h`` and ``--help`` of every command and of the top level, and no
   arguments at all.
 
@@ -51,6 +52,10 @@ SMALL = {
     "naive-demo": ["--n", "7", "--k", "6"],
     "charpoly": ["--n", "7"],
 }
+
+# the least --m of verify-theorem with endpoints on P_1: the small call's
+# --x 3 lies off the one-vertex path, so its --m 1 variants exit 2
+EXTRA = [["verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"]]
 
 # values that no int flag takes: not integers, empty, option-like, or past
 # the interpreter's int-to-text digit limit
@@ -101,7 +106,7 @@ def corpus() -> list[list[str]]:
             argvs.append([command, *small[:i], f"{small[i]}={small[i + 1]}", *small[i + 2 :]])
         argvs += [[command, small[0], token, *small[2:]] for token in MALFORMED]
         argvs += [[command, "-h"], [command, "--help"]]
-    argvs += [["-h"], ["--help"], []]
+    argvs += EXTRA + [["-h"], ["--help"], []]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 

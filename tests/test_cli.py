@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 import nilpath
 from nilpath import cli
 from nilpath.cli import run
+from nilpath.gf2 import GF2Matrix
 from nilpath.proofcheck import ClassCensus, class_census
 from nilpath.report import Detail, ParityReport, render_json
 from nilpath.walks import iter_walks_from
 
-from argv_corpus import MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
+from argv_corpus import EXTRA, MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
 
 
 def run_cli(capsys, *argv):
@@ -571,6 +572,8 @@ class TestExitContract:
         # the slowest accepted naive-demo, and the benchmark operations, which
         # end in --format json
         assert ["naive-demo", "--n", "7", "--k", "22"] in argvs
+        for argv in EXTRA:
+            assert argv in argvs and answer(argv)[0] == 0, argv
         assert sum(argv[-2:] == ["--format", "json"] for argv in argvs) > 250
 
 
@@ -627,6 +630,13 @@ class TestFaultTable:
             pytest.param(
                 NILPOTENT, nilpath.gf2.nilpotency_index, lambda index: None,
                 ["A^7 over GF(2)", "nilpotency index"], id="check-nilpotent-index",
+            ),
+            # flips entry (1, 2) of A^6, the first paired product; --m 3
+            # has no paired step
+            pytest.param(
+                ("check-nilpotent", "--m", "5"), nilpath.gf2._mul_pair,
+                lambda p: (GF2Matrix(p[0].n, (p[0].rows[0] ^ 2, *p[0].rows[1:])), p[1]),
+                ["A^31 over GF(2)", "nilpotency index"], id="check-nilpotent-pair",
             ),
             pytest.param(
                 ("walk-count", "--exact", "--n", "7", "--x", "3", "--y", "2", "--k", "7"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from nilpath.gf2 import (
     GF2Matrix,
+    _mul_pair,
     identity,
     mat_from_entries,
     mat_is_zero,
@@ -225,6 +227,30 @@ class TestMatMul:
         for bad in (1 << p.n, -1):
             with pytest.raises(ValueError):
                 GF2Matrix(p.n, p.rows[:-1] + (p.rows[-1] ^ bad,))
+
+
+class TestMulPair:
+    @given(wide_matrices, shares, seeds, shares, seeds)
+    @settings(max_examples=50)
+    def test_is_both_products_of_its_left_factor(self, a, share_b, seed_b, share_c, seed_c):
+        b, c = mixed_square(a.n, share_b, seed_b), mixed_square(a.n, share_c, seed_c)
+        assert _mul_pair(a, b, c) == (mat_mul(a, b), mat_mul(a, c))
+        # the squaring step of mat_pow passes its left factor again
+        assert _mul_pair(a, b, a) == (mat_mul(a, b), mat_mul(a, a))
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_family_index_pairs_every_inner_step(self, rebind, m):
+        # n - 1 = 2^m - 2: two lone squarings, m - 3 paired steps, the last
+        # multiply and the final a * a^(n-1); unpaired that is 2m - 2 products
+        calls = Counter()
+        for function in (mat_mul, _mul_pair):
+            def counted(*args, function=function):
+                calls[function.__name__] += 1
+                return function(*args)
+
+            rebind(function, counted)
+        assert nilpotency_index(path_adjacency(2**m - 1)) == 2**m - 1
+        assert (calls["mat_mul"], calls["_mul_pair"]) == (4, m - 3)
 
 
 class TestMatPow:
