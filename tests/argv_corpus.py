@@ -54,8 +54,13 @@ SMALL = {
 }
 
 # the least --m of verify-theorem with endpoints on P_1: the small call's
-# --x 3 lies off the one-vertex path, so its --m 1 variants exit 2
-EXTRA = [["verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"]]
+# --x 3 lies off the one-vertex path, so its --m 1 variants exit 2; and the
+# least naive-demo whose witness changes if find_naive_failure settles
+# pivots one 2-exponent too early
+EXTRA = [
+    ["verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"],
+    ["naive-demo", "--n", "15", "--k", "13"],
+]
 
 # values that no int flag takes: not integers, empty, option-like, or past
 # the interpreter's int-to-text digit limit

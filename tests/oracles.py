@@ -6,8 +6,9 @@ elimination, recursive walk listing, integer and mod-2 counting vectors
 stepped once per unit of length, the method of images summed one class at
 a time over the whole binomial row, the three-term recurrence of leading
 minors and a symbolic cofactor determinant for the characteristic
-polynomial, its text read one binary digit at a time, and a certificate
-replay that checks every visit offset of every length one at a time.
+polynomial, its text read one binary digit at a time, a certificate
+replay that checks every visit offset of every length one at a time, and
+the naive-pivot search run on every walk with nothing settled.
 Agreement between the two routes is what the tests assert.
 """
 
@@ -20,6 +21,8 @@ from math import comb, prod
 from operator import add
 
 from nilpath.gf2 import GF2Matrix
+from nilpath.proofcheck import _escapes, naive_pivot
+from nilpath.walks import _check_args, iter_walks_from
 
 
 def naive_mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
@@ -321,3 +324,23 @@ def per_offset_replay(
 
     replay(m, k, x, y, trace)
     return trace
+
+
+def naive_failure_scan(n: int, k: int) -> tuple[int, ...] | None:
+    """The first length-k walk whose naive reflection escapes, by a full scan.
+
+    The reference for ``proofcheck.find_naive_failure``: it runs
+    ``naive_pivot`` on every listed walk in lexicographic order and settles
+    nothing, so it shows that passing over the walks behind a settled
+    pivot changes no answer.
+    """
+    _check_args(n, k)
+    for start in range(1, n + 1):
+        for vs in iter_walks_from(n, start, k):
+            pivot = naive_pivot(vs)
+            if pivot is None:
+                continue
+            first = vs.index(pivot)
+            if _escapes(n, vs[first + 1 : vs.index(pivot, first + 1)], pivot):
+                return vs
+    return None

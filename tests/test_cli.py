@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nilpath
 from nilpath import cli
+from nilpath.charpoly import GF2Poly
 from nilpath.cli import run
 from nilpath.gf2 import GF2Matrix
 from nilpath.proofcheck import ClassCensus, class_census
@@ -603,6 +604,7 @@ class TestReadmeLimits:
 NILPOTENT = ("check-nilpotent", "--m", "3")
 THEOREM = ("verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2")
 CENSUS = ("census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "8")
+NAIVE = ("naive-demo", "--n", "7", "--k", "7")
 
 
 class TestFaultTable:
@@ -672,6 +674,19 @@ class TestFaultTable:
             pytest.param(
                 CENSUS, nilpath.proofcheck.class2_by_sides, lambda c: c + 1,
                 ["per-offset class-2 counts sum to class 2"], id="census-offset-sum",
+            ),
+            pytest.param(
+                NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: None,
+                ["some walk escapes the naive reflection"], id="naive-demo-no-witness",
+            ),
+            # a walk whose pivot is the midpoint, so its mirror stays inside
+            pytest.param(
+                NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: (4, 3, 4),
+                ["reflecting at the naive pivot"], id="naive-demo-witness-stays",
+            ),
+            pytest.param(
+                ("charpoly", "--n", "7", "--check-monomial"), nilpath.charpoly.charpoly_path,
+                lambda p: GF2Poly(p.bits | 1), ["equals x^7"], id="charpoly-monomial",
             ),
         ],
     )

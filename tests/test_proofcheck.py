@@ -27,7 +27,7 @@ from nilpath.walks import (
     iter_walks_from,
     walk_is_valid,
 )
-from oracles import per_offset_replay
+from oracles import naive_failure_scan, per_offset_replay
 
 
 def walks_of_length(n, k):
@@ -632,7 +632,7 @@ class TestFindNaiveFailure:
     def test_bounds_test_matches_the_mirrored_vertices(self):
         # the scan tests the segment's bounds; the reflection forms its
         # mirror, and both must agree with the definition of an escape
-        for n in range(1, 10):
+        for n in range(1, 17):
             witnesses = {}  # length -> first escaping walk, in scan order
             for x in range(1, n + 1):
                 for w in _walks(n, x, 10):
@@ -652,6 +652,20 @@ class TestFindNaiveFailure:
                         assert not escapes and walk_is_valid(n, image), w
             for k in range(11):
                 assert find_naive_failure(n, k) == witnesses.get(k), (n, k)
+
+    def test_settling_matches_the_full_scan(self):
+        # settling any pivot that stays in bounds first differs at (4, 3),
+        # and settling one 2-exponent too early at (15, 13)
+        for n in range(1, 33):
+            for k in range(17):
+                assert find_naive_failure(n, k) == naive_failure_scan(n, k), (n, k)
+
+    def test_settled_pivots_are_not_tested_again(self, rebind):
+        # the full scan runs naive_pivot on 215,233 walks here
+        calls = []
+        rebind(naive_pivot, lambda vs: calls.append(vs) or naive_pivot(vs))
+        assert find_naive_failure(7, 22) == (1, 2, 3, 4, 3, 2, 1) + (2, 1) * 8
+        assert len(calls) <= 3
 
     def test_single_vertex_never_fails(self):
         assert find_naive_failure(1, 5) is None
