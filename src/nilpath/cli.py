@@ -4,15 +4,15 @@ Every subcommand runs one verification and prints a single report: a
 table by default, or one JSON object / CSV detail rows with ``--format``.
 Exit status is 0 when every report row matches its expectation, 1 when
 some row does not, and 2 for usage errors such as malformed integers or
-an input outside a command's size limits. Each subcommand is declared
-once, in ``_COMMANDS``: its flags with their size limits beside them, and
-its work estimates. ``_table`` is the one decoder of an entry, and three
-readers share what it decodes: ``_parse`` reads a well-formed call;
-argparse, built on first use, serves help, usage errors and any other
-spelling; and ``_check_limits`` checks the limits once after parsing,
-before any work starts. A handler returns its parameters and report
-rows; ``run`` times it and builds the one report, named after the
-command, from them.
+an input outside a command's size limits, and for a call that runs out
+of memory. Each subcommand is declared once, in ``_COMMANDS``: its flags
+with their size limits beside them, and its work estimates. ``_table``
+is the one decoder of an entry, and three readers share what it
+decodes: ``_parse`` reads a well-formed call; argparse, built on first
+use, serves help, usage errors and any other spelling; and
+``_check_limits`` checks the limits once after parsing, before any work
+starts. A handler returns its parameters and report rows; ``run`` times
+it and builds the one report, named after the command, from them.
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ _COMMANDS: dict[str, tuple] = {
         [("--n", 1, 256), ("--max-k", 0, 24)],
         [("--n --max-k", 2**17, lambda a: _walks_listed(a.n, a.max_k), _LISTS)],
     ),
-    # about 2^(m-1) visit offsets, whatever --k is: 0.4 s at the limit
+    # about 2^(m-1) visit offsets, whatever --k is: 0.24 s at the limit
     "verify-theorem": (
         _cmd_verify_theorem,
         "certify even walk counts for k >= n = 2^m - 1",
@@ -582,6 +582,9 @@ def run(argv: Sequence[str]) -> int:
         params, details = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"nilpath {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"nilpath {args.command}: out of memory at {' '.join(argv[1:])}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = ParityReport(args.command, params, tuple(details), elapsed_ms)

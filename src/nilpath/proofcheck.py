@@ -23,7 +23,7 @@ validate it once, and the ones that build walks return tuples.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .report import Detail, ParityReport
@@ -200,11 +200,6 @@ def _half_vertex(v: int, pivot: int) -> int:
     return v if v < pivot else v - pivot
 
 
-def _pivot_neighbor(v: int, pivot: int) -> int:
-    """The neighbor of the pivot on the same side as v."""
-    return pivot - 1 if v < pivot else pivot + 1
-
-
 def _clean_counts(n: int, pivot: int, v: int, k: int) -> list[int]:
     """Entry L: walks of length L from v that reach the pivot only at their end.
 
@@ -216,7 +211,7 @@ def _clean_counts(n: int, pivot: int, v: int, k: int) -> list[int]:
     if v == pivot:
         return [1] + [0] * k
     size = pivot - 1 if v < pivot else n - pivot
-    end = _half_vertex(_pivot_neighbor(v, pivot), pivot)
+    end = pivot - 1 if v < pivot else 1  # the pivot's neighbour on v's side
     steps = _count_vectors(size, _half_vertex(v, pivot), k - 1) if k else ()
     return [0, *(counts[end] for counts in steps)]
 
@@ -237,42 +232,50 @@ def class2_by_sides(n: int, pivot: int, x: int, y: int, k: int) -> int:
     return sum(a * b for a, b in zip(prefixes, reversed(suffixes)))
 
 
+def _odd_first_visits(m: int, v: int, lengths: range) -> list[int]:
+    """The L in lengths at which an odd number of length-L walks from v reach
+    the midpoint p = 2^(m-1) of the 2^m - 1 path at their last step and
+    never before. Read backwards, the same walks are departures from p to v.
+
+    Such a walk of length L >= 1 is a walk of length L - 1 on v's side
+    segment, 2^(m-1) - 1 vertices, from v to the midpoint's neighbour, so
+    each L is one ``_family_parity`` test. Those walks are even from length
+    p on: at side length p - 1 both submask tests pass and cancel, and
+    beyond it the length has a bit at or above p. Arguments are not checked.
+    """
+    p = 2 ** (m - 1)
+    if v == p:
+        return [0] if 0 in lengths else []
+    hv, end = _half_vertex(v, p), p - 1 if v < p else 1
+    return [L for L in lengths if L and _family_parity(m - 1, hv, end, L - 1)]
+
+
 def _family_census(m: int, x: int, y: int, k: int) -> tuple[int, list[int], int]:
     """``class_census`` mod 2 at the midpoint of the 2^m - 1 path, for m >= 1.
 
     Returns the parity of c1, the visit offsets whose class-2 count is
     odd, and the parity of c3. The split at the first midpoint visit is the
     one of ``class_census``, and every factor is a walk count on a family
-    path, whose parity ``_family_parity`` gives in closed form: c1 and the
-    clean arrivals and departures live on the side segments of 2^(m-1) - 1
-    vertices, and the returning suffixes on the whole path. An arrival at
-    offset i >= 1 is a side walk of length i - 1. Those are even from
-    length 2^(m-1) - 1 on: at that length both submask tests pass and
-    cancel, and beyond it the length has a bit at or above 2^(m-1). So only
-    offsets below the midpoint 2^(m-1) are read, and the cost does not
-    grow with k. Arguments are not checked.
+    path, whose parity ``_family_parity`` gives in closed form: c1 on a side
+    segment of 2^(m-1) - 1 vertices, the returning suffixes on the whole
+    path. The clean arrivals of x and departures to y are the lists of
+    ``_odd_first_visits``, which are empty from length 2^(m-1) on, so only
+    offsets i below the midpoint are read, and only departure lengths
+    k - i below it: none once k >= n. Class 2 is odd at the arrivals whose
+    departure is odd, and class 3 sums the returns after each odd arrival
+    less those departures. The cost does not grow with k. Arguments are not
+    checked.
     """
     p = 2 ** (m - 1)
-
-    def clean(v: int) -> Callable[[int], int]:
-        # length -> parity of the walks from v whose only pivot visit ends them
-        if v == p:
-            return lambda length: int(length == 0)
-        hv, end = _half_vertex(v, p), _half_vertex(_pivot_neighbor(v, p), p)
-        return lambda length: length and _family_parity(m - 1, hv, end, length - 1)
-
     c1 = 0
     if x != p and y != p and (x < p) == (y < p):
         c1 = _family_parity(m - 1, _half_vertex(x, p), _half_vertex(y, p), k)
-    arrival, departure = clean(x), clean(y)
-    odd_offsets = []
-    c3 = 0
-    for i in range(min(k + 1, p)):
-        if arrival(i):
-            suffix = departure(k - i)
-            if suffix:
-                odd_offsets.append(i)
-            c3 ^= _family_parity(m, p, y, k - i) ^ suffix
+    arrivals = _odd_first_visits(m, x, range(min(k + 1, p)))
+    departures = set(_odd_first_visits(m, y, range(max(k - p + 1, 0), min(k + 1, p))))
+    odd_offsets = [i for i in arrivals if k - i in departures]
+    c3 = len(odd_offsets) % 2
+    for i in arrivals:
+        c3 ^= _family_parity(m, p, y, k - i)
     return c1, odd_offsets, c3
 
 
@@ -323,9 +326,11 @@ def theorem_check(m: int, k: int, x: int, y: int) -> ParityReport:
     Requires n = 2^m - 1 vertices and k >= n. That bound makes every case
     of the recursive per-class certificate apply at every level (see
     ``_certificate_notes``), so only the top node's notes are reported.
-    Measures each class's actual parity with the closed-form census (two
-    submask tests per factor at each visit offset below the midpoint, so
-    O(2^(m-1)) tests whatever k is), and cross-checks the total against
+    Measures each class's actual parity with the closed-form census: one
+    ``_family_parity`` test per visit offset below the midpoint for the
+    arrivals of x, one per odd arrival for the returns to y after it, and
+    none for the departures to y, which are all even at k >= n. That is
+    O(2^(m-1)) tests whatever k is. The total is cross-checked against
     the mod-2 count by Frobenius doubling.
     The report carries one row per class plus the cross-check, at every m:
     the base case P_1, whose only vertex is its midpoint, is certified by

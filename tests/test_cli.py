@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -19,7 +20,6 @@ from nilpath.cli import run
 from nilpath.gf2 import GF2Matrix
 from nilpath.proofcheck import ClassCensus, class_census
 from nilpath.report import Detail, ParityReport, render_json
-from nilpath.walks import iter_walks_from
 
 from argv_corpus import EXTRA, MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
 
@@ -563,6 +563,31 @@ class TestExitContract:
         if args is not None:
             assert args == cli._build_parser().parse_args(argv), argv
 
+    def test_out_of_memory_is_one_stderr_line_and_exit_two(self):
+        # an accepted input in a child whose address space is capped at
+        # 300 MB: the matrix route's first n x n products do not fit
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024, 300_000 * 1024))
+
+        src = str(Path(nilpath.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilpath", "check-nilpotent", "--m", "15"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "nilpath check-nilpotent: out of memory at --m 15\n"
+
+    def test_out_of_memory_names_the_flags_as_given(self, capsys, rebind):
+        def exhausted(*args):
+            raise MemoryError
+
+        rebind(nilpath.walks.count_walks_parity, exhausted)
+        argv = ["walk-count", "--parity", "--n=7", "--x", "3", "--y", "2", "--k", "7"]
+        assert run_cli(capsys, *argv) == (
+            2, "", "nilpath walk-count: out of memory at --parity --n=7 --x 3 --y 2 --k 7\n"
+        )
+
     def test_corpus_covers_the_workloads_and_every_spelling(self):
         argvs = corpus()
         assert len(argvs) == len({tuple(argv) for argv in argvs}) > 400
@@ -605,96 +630,169 @@ NILPOTENT = ("check-nilpotent", "--m", "3")
 THEOREM = ("verify-theorem", "--m", "3", "--k", "7", "--x", "3", "--y", "2")
 CENSUS = ("census", "--n", "7", "--pivot", "4", "--x", "1", "--y", "1", "--k", "8")
 NAIVE = ("naive-demo", "--n", "7", "--k", "7")
+LEMMA = ("verify-lemma", "--n", "3", "--max-k", "2")
+INVOLUTION = ("involution-test", "--m", "3", "--k", "4")
+REFLECT = nilpath.proofcheck._reflect
+
+
+def lemma_row(k):
+    return f"k = {k}: count = enumeration = matrix power, all (x, y)"
+
+
+def on_the_walk(stand_in):
+    """An edit of ``_reflect``'s image on P_7 at pivot 4 that returns
+    ``stand_in(vs)`` for the walk vs that was reflected: the real
+    reflection is an involution, so it recovers vs from its image."""
+    return lambda image: stand_in(REFLECT(7, image, 4))
+
+
+def mirror_tail(vs):
+    """Mirror everything after the first visit of 4, not just the segment."""
+    first = vs.index(4)
+    return vs[: first + 1] + tuple(8 - v for v in vs[first + 1 :])
+
+
+# Each case is an argv, a route, an edit of the route's result and the rows
+# that must fail, in report order. ``_family_census`` returns (c1,
+# odd_offsets, c3). The rows of each command's small call in
+# ``argv_corpus.SMALL`` are named as in these argv.
+FAULTS = [
+    # sets bit 0, a walk ending at vertex 1, so the corner bit
+    # that count_walks_parity reads from it stays right
+    pytest.param(
+        NILPOTENT, nilpath.walks._parity_vector, lambda v: v | 1,
+        ["A^7 e_1 over GF(2)"], id="check-nilpotent-cyclic-vector",
+    ),
+    pytest.param(
+        NILPOTENT, nilpath.walks.count_walks_parity, lambda b: 0,
+        ["corner entry (1, 7) of A^6"], id="check-nilpotent-corner",
+    ),
+    pytest.param(
+        ("check-nilpotent", "--m", "1"), nilpath.walks.count_walks_parity,
+        lambda b: 0, ["corner entry (1, 1) of A^0"], id="check-nilpotent-m1-corner",
+    ),
+    pytest.param(
+        NILPOTENT, nilpath.gf2.nilpotency_index, lambda index: None,
+        ["A^7 over GF(2)", "nilpotency index"], id="check-nilpotent-index",
+    ),
+    # flips entry (1, 2) of A^6, the first paired product; --m 3
+    # has no paired step
+    pytest.param(
+        ("check-nilpotent", "--m", "5"), nilpath.gf2._mul_pair,
+        lambda p: (GF2Matrix(p[0].n, (p[0].rows[0] ^ 2, *p[0].rows[1:])), p[1]),
+        ["A^31 over GF(2)", "nilpotency index"], id="check-nilpotent-pair",
+    ),
+    pytest.param(
+        ("walk-count", "--exact", "--n", "7", "--x", "3", "--y", "2", "--k", "7"),
+        nilpath.walks.count_walks_parity, lambda b: b ^ 1,
+        ["parity route agrees mod 2"], id="walk-count-parity",
+    ),
+    pytest.param(
+        THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0] + 1, c[1], c[2]),
+        ["class 1: walks avoiding the midpoint"], id="verify-theorem-class-1",
+    ),
+    pytest.param(
+        THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], [*c[1], 0], c[2]),
+        ["class 2: single midpoint visit, every visit offset"],
+        id="verify-theorem-class-2",
+    ),
+    pytest.param(
+        THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
+        ["class 3: two or more midpoint visits"], id="verify-theorem-class-3",
+    ),
+    pytest.param(
+        ("verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"),
+        nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
+        ["class 3: two or more midpoint visits"], id="verify-theorem-m1-class-3",
+    ),
+    pytest.param(
+        THEOREM, nilpath.walks.count_walks_parity, lambda b: 1,
+        ["mod-2 walk count"], id="verify-theorem-mod-2",
+    ),
+    pytest.param(
+        CENSUS, nilpath.walks.count_walks_exact, lambda c: c + 1,
+        ["classes partition all walks"], id="census-partition",
+    ),
+    pytest.param(
+        CENSUS, nilpath.proofcheck.class2_by_sides, lambda c: c + 1,
+        ["per-offset class-2 counts sum to class 2"], id="census-offset-sum",
+    ),
+    pytest.param(
+        NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: None,
+        ["some walk escapes the naive reflection"], id="naive-demo-no-witness",
+    ),
+    # a walk whose pivot is the midpoint, so its mirror stays inside
+    pytest.param(
+        NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: (4, 3, 4),
+        ["reflecting at the naive pivot"], id="naive-demo-witness-stays",
+    ),
+    pytest.param(
+        ("charpoly", "--n", "7", "--check-monomial"), nilpath.charpoly.charpoly_path,
+        lambda p: GF2Poly(p.bits | 1), ["equals x^7"], id="charpoly-monomial",
+    ),
+    # each route of verify-lemma wrong at one length only
+    pytest.param(
+        LEMMA, nilpath.walks._integer_powers,
+        lambda powers: ([[0] * 3] * 3 if k == 0 else p for k, p in enumerate(powers)),
+        [lemma_row(0)], id="verify-lemma-power",
+    ),
+    pytest.param(
+        LEMMA, nilpath.walks._walks, lambda walks: (vs for vs in walks if len(vs) != 2),
+        [lemma_row(1)], id="verify-lemma-enumeration",
+    ),
+    # on P_3 the first count of 2 is at k = 2, from 2 back to 2
+    pytest.param(
+        LEMMA, nilpath.walks._count_exact, lambda c: c + (c == 2),
+        [lemma_row(2)], id="verify-lemma-count",
+    ),
+    pytest.param(
+        INVOLUTION, REFLECT, on_the_walk(lambda vs: (0, *vs[1:])),
+        ["image is a valid walk"], id="involution-test-off-the-path",
+    ),
+    pytest.param(
+        INVOLUTION, REFLECT, on_the_walk(mirror_tail),
+        ["image preserves start, end, length, class"], id="involution-test-tail",
+    ),
+    pytest.param(
+        INVOLUTION, REFLECT, on_the_walk(lambda vs: vs),
+        ["no fixed points"], id="involution-test-identity",
+    ),
+    # reflects the loops that first step up from 4 and fixes the
+    # others, so an upward loop's image is fixed, not restored
+    pytest.param(
+        INVOLUTION, REFLECT,
+        on_the_walk(lambda vs: REFLECT(7, vs, 4) if vs[vs.index(4) + 1] > 4 else vs),
+        ["no fixed points", "applying twice restores the walk"],
+        id="involution-test-one-way",
+    ),
+]
 
 
 class TestFaultTable:
     """Every row that can fail, failed alone: a route whose result is
     edited fails exactly the rows that read it, with exit 1 and nothing on
-    stderr. ``_family_census`` returns (c1, odd_offsets, c3)."""
+    stderr."""
 
-    @pytest.mark.parametrize(
-        "argv, route, edit, failing",
-        [
-            # sets bit 0, a walk ending at vertex 1, so the corner bit
-            # that count_walks_parity reads from it stays right
-            pytest.param(
-                NILPOTENT, nilpath.walks._parity_vector, lambda v: v | 1,
-                ["A^7 e_1 over GF(2)"], id="check-nilpotent-cyclic-vector",
-            ),
-            pytest.param(
-                NILPOTENT, nilpath.walks.count_walks_parity, lambda b: 0,
-                ["corner entry (1, 7) of A^6"], id="check-nilpotent-corner",
-            ),
-            pytest.param(
-                ("check-nilpotent", "--m", "1"), nilpath.walks.count_walks_parity,
-                lambda b: 0, ["corner entry (1, 1) of A^0"], id="check-nilpotent-m1-corner",
-            ),
-            pytest.param(
-                NILPOTENT, nilpath.gf2.nilpotency_index, lambda index: None,
-                ["A^7 over GF(2)", "nilpotency index"], id="check-nilpotent-index",
-            ),
-            # flips entry (1, 2) of A^6, the first paired product; --m 3
-            # has no paired step
-            pytest.param(
-                ("check-nilpotent", "--m", "5"), nilpath.gf2._mul_pair,
-                lambda p: (GF2Matrix(p[0].n, (p[0].rows[0] ^ 2, *p[0].rows[1:])), p[1]),
-                ["A^31 over GF(2)", "nilpotency index"], id="check-nilpotent-pair",
-            ),
-            pytest.param(
-                ("walk-count", "--exact", "--n", "7", "--x", "3", "--y", "2", "--k", "7"),
-                nilpath.walks.count_walks_parity, lambda b: b ^ 1,
-                ["parity route agrees mod 2"], id="walk-count-parity",
-            ),
-            pytest.param(
-                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0] + 1, c[1], c[2]),
-                ["class 1: walks avoiding the midpoint"], id="verify-theorem-class-1",
-            ),
-            pytest.param(
-                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], [*c[1], 0], c[2]),
-                ["class 2: single midpoint visit, every visit offset"],
-                id="verify-theorem-class-2",
-            ),
-            pytest.param(
-                THEOREM, nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
-                ["class 3: two or more midpoint visits"], id="verify-theorem-class-3",
-            ),
-            pytest.param(
-                ("verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"),
-                nilpath.proofcheck._family_census, lambda c: (c[0], c[1], c[2] + 1),
-                ["class 3: two or more midpoint visits"], id="verify-theorem-m1-class-3",
-            ),
-            pytest.param(
-                THEOREM, nilpath.walks.count_walks_parity, lambda b: 1,
-                ["mod-2 walk count"], id="verify-theorem-mod-2",
-            ),
-            pytest.param(
-                CENSUS, nilpath.walks.count_walks_exact, lambda c: c + 1,
-                ["classes partition all walks"], id="census-partition",
-            ),
-            pytest.param(
-                CENSUS, nilpath.proofcheck.class2_by_sides, lambda c: c + 1,
-                ["per-offset class-2 counts sum to class 2"], id="census-offset-sum",
-            ),
-            pytest.param(
-                NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: None,
-                ["some walk escapes the naive reflection"], id="naive-demo-no-witness",
-            ),
-            # a walk whose pivot is the midpoint, so its mirror stays inside
-            pytest.param(
-                NAIVE, nilpath.proofcheck.find_naive_failure, lambda w: (4, 3, 4),
-                ["reflecting at the naive pivot"], id="naive-demo-witness-stays",
-            ),
-            pytest.param(
-                ("charpoly", "--n", "7", "--check-monomial"), nilpath.charpoly.charpoly_path,
-                lambda p: GF2Poly(p.bits | 1), ["equals x^7"], id="charpoly-monomial",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, route, edit, failing", FAULTS)
     def test_a_wrong_route_fails_only_its_own_rows(
         self, capsys, rebind, argv, route, edit, failing
     ):
         rebind(route, lambda *args: edit(route(*args)))
         assert failing_rows(capsys, *argv) == failing
+
+    def test_every_checking_row_has_a_case(self, capsys, monkeypatch):
+        # a row that states a value is tagged, so the untagged rows of each
+        # small call are the checks, and each must fail in some case
+        tag = " (stated)"
+        value_row = cli._value_row
+        monkeypatch.setattr(cli, "_value_row", lambda check, *rest: value_row(check + tag, *rest))
+        cased = {row for case in FAULTS for row in case.values[3]}
+        rows = set()
+        for command, small in SMALL.items():
+            rows |= {d["check"] for d in run_json(capsys, command, *small)[1]["details"]}
+        checks = {row for row in rows if not row.endswith(tag)}
+        assert len(checks) >= 20 and len(rows - checks) >= 10
+        assert checks <= cased, checks - cased
 
 
 class TestCheckNilpotent:
@@ -1037,64 +1135,6 @@ class TestInvolutionTest:
 
     def test_single_vertex_is_usage_error(self, capsys):
         assert run_cli(capsys, "involution-test", "--m", "1", "--k", "3")[0] == 2
-
-    def test_invalid_image_is_a_failed_check(self, capsys, monkeypatch):
-        def off_the_path(n, vs, pivot):
-            return (0, *vs[1:])
-
-        monkeypatch.setattr(cli, "_reflect", off_the_path)
-        code, parsed, err = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
-        rows = {d["check"]: d["observed"] for d in parsed["details"]}
-        assert code == 1
-        assert rows["image is a valid walk"] == rows["class-3 walks tested"] > 0
-        assert "Traceback" not in err
-
-    @staticmethod
-    def _rows_with_reflection(capsys, monkeypatch, reflect):
-        monkeypatch.setattr(cli, "_reflect", reflect)
-        code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "6")
-        assert code == 1
-        return {d["check"]: d["observed"] for d in parsed["details"]}
-
-    def test_identity_map_is_all_fixed_points(self, capsys, monkeypatch):
-        rows = self._rows_with_reflection(
-            capsys, monkeypatch, lambda n, walk, pivot: walk
-        )
-        assert rows["no fixed points"] == rows["class-3 walks tested"] > 0
-        assert rows["image preserves start, end, length, class"] == 0
-        assert rows["applying twice restores the walk"] == 0
-
-    def test_mirroring_the_whole_tail_moves_the_end(self, capsys, monkeypatch):
-        def mirror_tail(n, vs, pivot):
-            first = vs.index(pivot)
-            return vs[: first + 1] + tuple(2 * pivot - v for v in vs[first + 1 :])
-
-        rows = self._rows_with_reflection(capsys, monkeypatch, mirror_tail)
-        moved = sum(
-            1
-            for length in range(7)
-            for start in range(1, 8)
-            for w in iter_walks_from(7, start, length)
-            if w.count(4) >= 2 and w[-1] != 4
-        )
-        assert rows["image preserves start, end, length, class"] == moved > 0
-        assert rows["no fixed points"] == 0
-        assert rows["applying twice restores the walk"] == 0
-
-    def test_a_one_way_mirror_is_not_an_involution(self, capsys, monkeypatch):
-        real = cli._reflect
-
-        def upward_loops_only(n, vs, pivot):
-            if vs[vs.index(pivot) + 1] > pivot:
-                return real(n, vs, pivot)
-            return vs
-
-        rows = self._rows_with_reflection(capsys, monkeypatch, upward_loops_only)
-        # the real reflection pairs upward loops with downward ones
-        tested = rows["class-3 walks tested"]
-        assert rows["applying twice restores the walk"] == tested // 2 > 0
-        assert rows["no fixed points"] == tested // 2
-        assert rows["image preserves start, end, length, class"] == 0
 
     def test_cap_guard(self, capsys):
         code, _, err = run_cli(capsys, "involution-test", "--m", "3", "--k", "99")

@@ -17,9 +17,11 @@ from nilpath.proofcheck import (
     naive_reflect,
     reflect_class3,
     _family_census,
+    _odd_first_visits,
     theorem_check,
 )
 from nilpath.walks import (
+    _family_parity,
     _walks,
     count_walks_exact,
     count_walks_parity,
@@ -357,6 +359,22 @@ class TestParityCensus:
         assert _family_census(m, x, y, k) == _census_mod_2(m, x, y, k)
 
 
+    def test_odd_first_visits_total_three_to_the_m_minus_1(self):
+        for m in range(1, 10):
+            p = 2 ** (m - 1)
+            lengths = [L for x in range(1, 2 * p) for L in _odd_first_visits(m, x, range(p))]
+            assert len(lengths) == 3 ** (m - 1), m
+
+    def test_odd_first_visits_from_the_end_and_the_midpoint(self):
+        # one walk runs straight from vertex 1 to the midpoint; the
+        # midpoint is there at length 0 and is never reached again first
+        for m in range(1, 12):
+            p = 2 ** (m - 1)
+            assert _odd_first_visits(m, 1, range(p)) == [p - 1]
+            assert _odd_first_visits(m, p, range(p)) == [0]
+            assert _odd_first_visits(m, p, range(1, 3 * p)) == []
+
+
 class TestClass2BySides:
     def test_matches_the_census_for_every_pivot(self):
         for n in range(1, 8):
@@ -466,6 +484,33 @@ class TestTheoremCheck:
                 for x in range(1, n + 1):
                     for y in range(1, n + 1):
                         assert theorem_check(m, k, x, y).passed
+
+    def test_no_departure_is_tested_at_k_at_least_n(self, rebind):
+        # after an arrival at offset i < p the departure has length k - i,
+        # at least p once k >= n = 2p - 1, and such departures are even
+        tests, calls = [], []
+        rebind(_family_parity, lambda *args: tests.append(args) or _family_parity(*args))
+
+        def counted(m, v, lengths):
+            before = len(tests)
+            listed = _odd_first_visits(m, v, lengths)
+            calls.append((v, len(tests) - before))
+            return listed
+
+        rebind(_odd_first_visits, counted)
+        for m in range(1, 6):
+            n = 2**m - 1
+            for k in (n, n + 1, 3 * n, 10**12):
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        calls.clear()
+                        assert theorem_check(m, k, x, y).passed
+                        assert [v for v, _ in calls] == [x, y]
+                        assert calls[1] == (y, 0), (m, k, x, y)
+        # one length short, the departure of length p - 1 is tested
+        calls.clear()
+        _family_census(5, 1, 2, 30)
+        assert calls == [(1, 15), (2, 1)]
 
     def test_frontier_m14(self):
         n = 2**14 - 1
