@@ -7,22 +7,24 @@ stepped once per unit of length, the method of images summed one class at
 a time over the whole binomial row, the three-term recurrence of leading
 minors and a symbolic cofactor determinant for the characteristic
 polynomial, its text read one binary digit at a time, a certificate
-replay that checks every visit offset of every length one at a time, and
-the naive-pivot search run on every walk with nothing settled.
+replay that checks every visit offset of every length one at a time, the
+naive-pivot search run on every walk with nothing settled, and the
+midpoint reflection checked walk by walk, each image validated whole and
+reflected a second time.
 Agreement between the two routes is what the tests assert.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import comb, prod
 from operator import add
 
 from nilpath.gf2 import GF2Matrix
 from nilpath.proofcheck import _escapes, naive_pivot
-from nilpath.walks import _check_args, iter_walks_from
+from nilpath.walks import _check_args, _walks, iter_walks_from, walk_is_valid
 
 
 def naive_mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
@@ -344,3 +346,40 @@ def naive_failure_scan(n: int, k: int) -> tuple[int, ...] | None:
             if _escapes(n, vs[first + 1 : vs.index(pivot, first + 1)], pivot):
                 return vs
     return None
+
+
+def involution_rows_by_walk(
+    n: int, k: int, pivot: int, reflect: Callable[[int, tuple[int, ...], int], tuple[int, ...]]
+) -> tuple[int, int, int, int, int]:
+    """The five row values of ``involution-test``, one walk at a time.
+
+    The reference for the per-start tables of ``cli._cmd_involution_test``:
+    each class-3 walk of length <= k is reflected by ``reflect``, and its
+    image is validated whole and reflected again, with nothing looked up.
+    Returns the walks tested and the images that are no walk, change the
+    start, end, length or class, are fixed points, or do not reflect back,
+    in report order. Raises as ``reflect`` does on an image it cannot take.
+    """
+    tested = 0
+    bad_walk = bad_fixed = bad_preserve = bad_double = 0
+    for start in range(1, n + 1):
+        for vs in _walks(n, start, k):
+            if vs.count(pivot) < 2:
+                continue
+            tested += 1
+            image = reflect(n, vs, pivot)
+            if image == vs:
+                bad_fixed += 1
+            if not walk_is_valid(n, image):
+                bad_walk += 1
+                continue
+            if not (
+                image[0] == vs[0]
+                and image[-1] == vs[-1]
+                and len(image) == len(vs)
+                and image.count(pivot) >= 2
+            ):
+                bad_preserve += 1
+            if reflect(n, image, pivot) != vs:
+                bad_double += 1
+    return tested, bad_walk, bad_preserve, bad_fixed, bad_double

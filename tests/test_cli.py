@@ -22,6 +22,7 @@ from nilpath.proofcheck import ClassCensus, class_census
 from nilpath.report import Detail, ParityReport, render_json
 
 from argv_corpus import EXTRA, MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
+from oracles import involution_rows_by_walk
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,21 @@ def failing_rows(capsys, *argv):
     code, parsed, err = run_json(capsys, *argv)
     assert (code, parsed["verdict"], err) == (1, "fail", "")
     return [d["check"] for d in parsed["details"] if d["expected"] != d["observed"]]
+
+
+def capped_child(*argv):
+    """Run ``python -m nilpath *argv`` in a child whose address space is
+    capped at 300 MB, and return the finished process."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024, 300_000 * 1024))
+
+    src = str(Path(nilpath.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "nilpath", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap, timeout=60,
+    )
 
 
 def int_digit_limit():
@@ -564,17 +580,8 @@ class TestExitContract:
             assert args == cli._build_parser().parse_args(argv), argv
 
     def test_out_of_memory_is_one_stderr_line_and_exit_two(self):
-        # an accepted input in a child whose address space is capped at
-        # 300 MB: the matrix route's first n x n products do not fit
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024, 300_000 * 1024))
-
-        src = str(Path(nilpath.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-m", "nilpath", "check-nilpotent", "--m", "15"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-            preexec_fn=cap, timeout=60,
-        )
+        # the matrix route's first n x n products do not fit in 300 MB
+        proc = capped_child("check-nilpotent", "--m", "15")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "nilpath check-nilpotent: out of memory at --m 15\n"
 
@@ -650,6 +657,13 @@ def mirror_tail(vs):
     """Mirror everything after the first visit of 4, not just the segment."""
     first = vs.index(4)
     return vs[: first + 1] + tuple(8 - v for v in vs[first + 1 :])
+
+
+def mirror_head(vs):
+    """Mirror everything before the first visit of 4, moving the start; a
+    walk that starts at 4 has no head, and is reflected as usual."""
+    first = vs.index(4)
+    return tuple(8 - v for v in vs[:first]) + vs[first:] if first else REFLECT(7, vs, 4)
 
 
 # Each case is an argv, a route, an edit of the route's result and the rows
@@ -765,7 +779,22 @@ FAULTS = [
         ["no fixed points", "applying twice restores the walk"],
         id="involution-test-one-way",
     ),
+    # a walk of another start, so its own reflection is not in the table
+    pytest.param(
+        INVOLUTION, REFLECT, on_the_walk(mirror_head),
+        ["image preserves start, end, length, class"], id="involution-test-head",
+    ),
+    # a valid walk that never visits 4: it has no reflection to compare
+    pytest.param(
+        INVOLUTION, REFLECT, on_the_walk(lambda vs: tuple(1 + i % 2 for i in range(len(vs)))),
+        ["image preserves start, end, length, class", "applying twice restores the walk"],
+        id="involution-test-declass",
+    ),
 ]
+# the edits of _reflect's image, by case id; they are written for P_7
+STAND_INS = {
+    case.id: case.values[2] for case in FAULTS if case.values[:2] == (INVOLUTION, REFLECT)
+}
 
 
 class TestFaultTable:
@@ -1141,19 +1170,42 @@ class TestInvolutionTest:
         assert code == 2
         assert "--k 99 exceeds the limit 24" in err
 
-    def test_each_walk_is_validated_once(self, capsys, monkeypatch):
-        checked = []
-        real = cli.walk_is_valid
+    @pytest.mark.parametrize("case", ["real", "involution-test-off-the-path"])
+    def test_one_reflection_per_walk(self, capsys, rebind, case):
+        # the real reflection maps each class-3 walk onto another of its
+        # start, so both checks of every image read the table; an image off
+        # the path is validated, once, and not reflected
+        edit = STAND_INS.get(case, lambda image: image)
+        valid = nilpath.walks.walk_is_valid
+        reflected, checked = [], []
+        rebind(REFLECT, lambda *args: reflected.append(args) or edit(REFLECT(*args)))
+        rebind(valid, lambda *args: checked.append(args) or valid(*args))
+        _, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "8")
+        tested = parsed["details"][0]["observed"]
+        assert tested > 0 and len(reflected) == tested
+        assert len(checked) == (tested if case != "real" else 0)
 
-        def counting(n, vs):
-            checked.append(vs)
-            return real(n, vs)
+    # the declass image has no pivot to reflect at, so the oracle raises
+    @pytest.mark.parametrize(
+        "case", ["real", *(case for case in STAND_INS if case != "involution-test-declass")]
+    )
+    def test_rows_match_the_walk_by_walk_oracle(self, capsys, rebind, case):
+        reflect, paths = REFLECT, [(m, k) for m in (2, 3, 4) for k in range(9)]
+        if case != "real":
+            edit = STAND_INS[case]
+            reflect, paths = (lambda *args: edit(REFLECT(*args))), [(3, k) for k in range(9)]
+            rebind(REFLECT, reflect)
+        for m, k in paths:
+            expected = involution_rows_by_walk(2**m - 1, k, 2 ** (m - 1), reflect)
+            _, parsed, _ = run_json(capsys, "involution-test", "--m", str(m), "--k", str(k))
+            assert tuple(d["observed"] for d in parsed["details"]) == expected, (m, k)
 
-        monkeypatch.setattr(cli, "walk_is_valid", counting)
-        code, parsed, _ = run_json(capsys, "involution-test", "--m", "3", "--k", "8")
-        rows = {d["check"]: d["observed"] for d in parsed["details"]}
-        assert code == 0
-        assert len(checked) == rows["class-3 walks tested"] > 0
+    @pytest.mark.parametrize("argv", [("--m", "3", "--k", "14"), ("--m", "2", "--k", "24")])
+    def test_slowest_inputs_fit_in_300_mb(self, argv):
+        # the per-start tables of the two slowest accepted inputs
+        proc = capped_child("involution-test", *argv, "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["verdict"] == "pass"
 
 
 class TestCensus:
