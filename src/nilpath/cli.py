@@ -38,10 +38,10 @@ from .proofcheck import (
 from .report import Detail, ParityReport, render_csv, render_json, render_text
 from .walks import (
     _count_exact,
-    _count_vectors,
     _integer_powers,
     _parity_vector,
     _walks,
+    _walks_listed,
     count_walks_exact,
     count_walks_parity,
     path_adjacency,
@@ -56,23 +56,14 @@ _FORMAT = ("--format", {"choices": sorted(_RENDERERS), "default": "text",
                         "help": "report format (default: text)"})
 
 
-def _walks_listed(n: int, k: int) -> int:
-    """Walks of length at most k from every vertex: the sum of 1^T A^t 1."""
-    return sum(sum(counts) for counts in _count_vectors(n, None, k))
-
-
 def _value_row(check: str, value: object, provenance: str) -> Detail:
     """A report row that states a result rather than testing one."""
     return Detail(check, value, value, provenance)
 
 
 def _cmd_check_nilpotent(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
-    if args.m is not None:
-        m, n = args.m, 2**args.m - 1
-    else:
-        # tag n with m when n + 1 is a power of two
-        n = args.n
-        m = n.bit_length() if (n + 1) & n == 0 else None
+    n = 2**args.m - 1 if args.m is not None else args.n
+    m = n.bit_length() if (n + 1) & n == 0 else None  # the tag of n = 2^m - 1
     # nilpotency_index is None exactly when A^n is nonzero, so its one
     # power chain answers both of the first two rows
     index = nilpotency_index(path_adjacency(n))
@@ -112,33 +103,23 @@ def _cmd_check_nilpotent(args: argparse.Namespace) -> tuple[dict, Sequence[Detai
 def _cmd_walk_count(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     n, x, y, k = args.n, args.x, args.y, args.k
     params = {"n": n, "x": x, "y": y, "k": k, "mode": args.mode}
-    details = []
-    if args.mode == "exact":
-        count = count_walks_exact(n, x, y, k)
-        details.append(
-            _value_row(
-                f"walks of length {k} from {x} to {y}",
-                count,
-                "method of images on the mirrored cycle",
-            )
-        )
-        details.append(
-            Detail(
-                "parity route agrees mod 2",
-                count % 2,
-                count_walks_parity(n, x, y, k),
-                "Frobenius doubling on the mirrored cycle",
-            )
-        )
-    else:
-        details.append(
-            _value_row(
-                f"parity of walks of length {k} from {x} to {y}",
-                count_walks_parity(n, x, y, k),
-                "Frobenius doubling on the mirrored cycle",
-            )
-        )
-    return params, details
+    # the exact count comes first, so a failing exact route stops the
+    # call before any parity work
+    count = count_walks_exact(n, x, y, k) if args.mode == "exact" else None
+    parity = count_walks_parity(n, x, y, k)
+    frobenius = "Frobenius doubling on the mirrored cycle"
+    if count is None:
+        return params, [
+            _value_row(f"parity of walks of length {k} from {x} to {y}", parity, frobenius)
+        ]
+    return params, [
+        _value_row(
+            f"walks of length {k} from {x} to {y}",
+            count,
+            "method of images on the mirrored cycle",
+        ),
+        Detail("parity route agrees mod 2", count % 2, parity, frobenius),
+    ]
 
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:

@@ -20,8 +20,10 @@ them, and ``walk_is_valid`` checks any vertex sequence against a path.
 apart, for the reference route of ``verify-lemma`` and for
 ``integer_adjacency_power``. ``_count_vectors`` is the single counting
 step, behind the exact three-class census, which passes the vertex its
-walks must avoid, the class-2 count from side segments, and the command
-line's estimate of how many walks an enumeration lists.
+walks must avoid, the class-2 count from side segments, and
+``_walks_listed``, the command line's estimate of how many walks an
+enumeration lists, which sits beside ``_walks`` and counts the nodes it
+yields.
 ``_family_parity`` is the image sum read mod 2 in closed form on paths of
 2^q - 1 vertices, behind the class parities of ``theorem_check``.
 ``_check_args`` validates the walk arguments of the functions in both
@@ -90,28 +92,37 @@ def _walks(n: int, x: int, k: int) -> Iterator[tuple[int, ...]]:
 
     The stack holds the tuples themselves, and a child is its parent plus
     one vertex, bounded by 1 and n where it is formed, so nothing is
-    built per call and the first node costs O(1) whatever n is. Children
-    of length k are leaves: they are yielded at once, never pushed.
+    built per call and the first node costs O(1) whatever n is. One test
+    on the steps a child would have left, ``room``, decides a node's
+    children: with room to spare they are pushed, with none they are
+    leaves, yielded at once and never pushed, and below that (only the
+    start, when k = 0) there are none.
     """
     stack = [(x,)]
     while stack:
         w = stack.pop()
         yield w
         room = k - len(w)  # steps left after a child's step
-        if room < 0:
-            continue  # k = 0: the start is the only node
         v = w[-1]
-        if room:
+        if room > 0:
             # pushed in reverse, so the lower child comes off first
             if v < n:
                 stack.append(w + (v + 1,))
             if v > 1:
                 stack.append(w + (v - 1,))
-        else:
+        elif room == 0:
             if v > 1:
                 yield w + (v - 1,)
             if v < n:
                 yield w + (v + 1,)
+
+
+def _walks_listed(n: int, k: int) -> int:
+    """The number of nodes ``_walks`` yields over every start vertex: the
+    walks of length at most k from any vertex, the sum of 1^T A^t 1 over
+    t = 0..k. The command line bounds an enumeration by it before the
+    search starts."""
+    return sum(sum(counts) for counts in _count_vectors(n, None, k))
 
 
 def iter_walks_from(n: int, x: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nilpath
-from nilpath import cli
+from nilpath import cli, walks
 from nilpath.charpoly import GF2Poly
 from nilpath.cli import run
 from nilpath.gf2 import GF2Matrix
@@ -318,7 +318,7 @@ class TestExitCodes:
             # verify-lemma and involution-test list walks with the one DFS
             (
                 "_walks",
-                lambda n, x, k, y: k > enum_k or cli._walks_listed(n, k) > listed,
+                lambda n, x, k: k > enum_k or cli._walks_listed(n, k) > listed,
             ),
             ("find_naive_failure", lambda n, k: n > naive_n or k > naive_k),
             ("charpoly_path", lambda n: n > LARGEST["charpoly", "--n"]),
@@ -406,14 +406,6 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert f"{argv[-2]} 99 exceeds the limit {limit}" in err
             assert "NILPATH_ENUM_CAP" not in err
-
-    def test_walks_row_counts_what_the_search_lists(self):
-        for n in range(1, 9):
-            for k in range(9):
-                listed = sum(1 for x in range(1, n + 1) for _ in cli._walks(n, x, k))
-                assert cli._walks_listed(n, k) == listed, (n, k)
-        assert cli._walks_listed(3, 17) == 3577
-        assert cli._walks_listed(15, 20) == 18788741
 
 
 # argv that the table path declines, and argparse's answer to each: None
@@ -840,6 +832,16 @@ class TestCheckNilpotent:
     def test_m_and_n_conflict(self, capsys):
         assert run_cli(capsys, "check-nilpotent", "--m", "3", "--n", "7")[0] == 2
 
+    def test_m_and_its_n_give_one_report(self, capsys):
+        for m in range(1, 9):
+            reports = []
+            for flag, value in (("--m", m), ("--n", 2**m - 1)):
+                code, parsed, _ = run_json(capsys, "check-nilpotent", flag, str(value))
+                assert code == 0
+                parsed.pop("elapsed_ms")
+                reports.append(parsed)
+            assert reports[0] == reports[1], m
+
     def test_one_power_chain(self, capsys, monkeypatch):
         import nilpath.cli
         import nilpath.gf2
@@ -900,6 +902,32 @@ class TestWalkCount:
         assert code == 0
         assert parsed["details"][0]["observed"] == 0
         assert parsed["elapsed_ms"] < 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "7", "--x", "3", "--y", "2", "--k", "7"],
+            ["--n", "7", "--x", "3", "--y", "2", "--k", "8", "--exact"],
+            ["--n", "1", "--x", "1", "--y", "1", "--k", "0", "--exact"],
+            ["--n", "7", "--x", "3", "--y", "2", "--k", "7", "--parity"],
+            ["--n", "1023", "--x", "5", "--y", "700", "--k", str(10**12), "--parity"],
+        ],
+    )
+    def test_one_parity_call_after_the_exact_count(self, capsys, rebind, argv):
+        calls = []
+
+        def counted(route):
+            def call(*args):
+                calls.append(route.__name__)
+                return route(*args)
+
+            return call
+
+        for route in (walks.count_walks_exact, walks.count_walks_parity):
+            rebind(route, counted(route))
+        assert run_cli(capsys, "walk-count", *argv)[0] == 0
+        expected = [] if "--parity" in argv else ["count_walks_exact"]
+        assert calls == expected + ["count_walks_parity"]
 
     def test_modes_conflict(self, capsys):
         code, _, _ = run_cli(

@@ -538,7 +538,7 @@ def _assert_matches_per_offset_replay(m, k, x, y, memo=None):
     assert report.passed
 
 
-class TestReplayEven:
+class TestCertificateNotes:
     """The certificate notes of ``theorem_check`` against ``per_offset_replay``."""
 
     def test_matches_per_offset_replay_exhaustively(self):

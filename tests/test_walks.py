@@ -13,6 +13,7 @@ from nilpath.walks import (
     _family_parity,
     _parity_vector,
     _walks,
+    _walks_listed,
     count_walks_exact,
     count_walks_parity,
     enumerate_walks,
@@ -67,7 +68,7 @@ def image_sum_cases(draw):
     return n, x, y, k
 
 
-class TestPathSpec:
+class TestCheckNilpotentTag:
     """The path spec of `check-nilpotent --n`: its m tag is set only when
     n = 2^m - 1, the sizes the paper's theorem speaks about."""
 
@@ -87,7 +88,7 @@ class TestPathSpec:
         assert self.parameters(capsys, 2) == {"m": None, "n": 2}
 
 
-class TestWalk:
+class TestWalkTuple:
     """A walk is a non-empty tuple of vertices: its length is one less than
     its size, and its start and end are its first and last entries."""
 
@@ -247,6 +248,14 @@ class TestSearch:
                     )
                     assert mine == expected, (n, x, k)
 
+    def test_walks_row_counts_what_the_search_lists(self):
+        for n in range(1, 9):
+            for k in range(9):
+                listed = sum(1 for x in range(1, n + 1) for _ in _walks(n, x, k))
+                assert _walks_listed(n, k) == listed, (n, k)
+        assert _walks_listed(3, 17) == 3577
+        assert _walks_listed(15, 20) == 18788741
+
 
 class TestSearchCost:
     def test_first_nodes_do_not_depend_on_n(self):
@@ -283,11 +292,11 @@ class TestEnumerateWalks:
             assert walk_is_valid(6, w)
             assert w[0] == 2 and w[-1] == 4 and len(w) - 1 == 8
 
-    def test_default_cap(self):
+    def test_long_length_on_two_vertices(self):
         # no length is refused: on two vertices a long length lists one walk
         assert enumerate_walks(2, 1, 1, 100) == [(1, 2) * 50 + (1,)]
 
-    def test_cap_override(self):
+    def test_lengths_past_the_command_line_bound(self):
         # lengths past the command line's bound of 24 are listed in full
         for (n, x, y, k), size in (((3, 2, 2, 26), 8192), ((4, 1, 2, 25), 75025)):
             walks = enumerate_walks(n, x, y, k)
