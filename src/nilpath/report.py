@@ -6,14 +6,18 @@ The verdict is not stored: it is read from the rows, "pass" exactly when
 every row agrees. The command line builds each report once, with the
 constructor, after its handler returns the rows. Rendering is
 deterministic: the same report content always produces the same bytes,
-except for the elapsed-time field. ``render_json`` writes its layout
+except for the elapsed-time field. The renderers write every integer in
+full, however many digits it has. ``render_json`` writes its layout
 directly; ``json.dumps(to_json_dict(), indent=2)`` is its test oracle.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -83,6 +87,37 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _in_full(function: Callable[..., Any]) -> Callable[..., Any]:
+    """``function`` with the int/text digit limit of Python 3.10.7 and later
+    (4300 digits) lifted for each call and restored after it, so that long
+    exact counts render in full. A plain wrapper: it runs once per report,
+    and a context manager's ``with`` block costs several times as much."""
+
+    @functools.wraps(function)
+    def in_full(*args: Any, **kwargs: Any) -> Any:
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            return function(*args, **kwargs)
+        limit = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return in_full
+
+
+_HEADER = ("check", "expected", "observed", "provenance")
+
+
+def _rows(report: ParityReport) -> list[tuple[str, str, str, str]]:
+    """The header, then each detail as its four cells of text."""
+    return [_HEADER, *((d.check, _cell(d.expected), _cell(d.observed), d.provenance)
+                       for d in report.details)]
+
+
+@_in_full
 def render_text(report: ParityReport) -> str:
     """Human-readable table."""
     lines = [
@@ -96,20 +131,12 @@ def render_text(report: ParityReport) -> str:
         f"{'s' * (len(report.details) != 1)}, {report.elapsed_ms:.1f} ms)",
         "",
     ]
-    header = ("check", "expected", "observed", "provenance")
-    rows = [
-        (d.check, _cell(d.expected), _cell(d.observed), d.provenance)
-        for d in report.details
-    ]
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(4)
-    ]
-    def fmt(cells: tuple[str, str, str, str]) -> str:
+    rows = _rows(report)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, tuple("-" * w for w in widths))  # under the header
+    def fmt(cells: tuple[str, ...]) -> str:
         return "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(cells)).rstrip()
-    lines.append(fmt(header))
-    lines.append(fmt(tuple("-" * w for w in widths)))
-    lines.extend(fmt(r) for r in rows)
+    lines.extend(map(fmt, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -140,6 +167,7 @@ _REPORT = (
 )
 
 
+@_in_full
 def render_json(report: ParityReport) -> str:
     """One JSON object per report, keys in a fixed order, indented by two."""
     params = ",\n".join(f"    {_scalar(k)}: {_scalar(v)}" for k, v in report.parameters.items())
@@ -158,11 +186,9 @@ def render_json(report: ParityReport) -> str:
     )
 
 
+@_in_full
 def render_csv(report: ParityReport) -> str:
     """Detail rows as CSV: check, expected, observed, provenance."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "expected", "observed", "provenance"])
-    for d in report.details:
-        writer.writerow([d.check, _cell(d.expected), _cell(d.observed), d.provenance])
+    csv.writer(buf, lineterminator="\n").writerows(_rows(report))
     return buf.getvalue()

@@ -6,7 +6,6 @@ import re
 import resource
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from nilpath.charpoly import GF2Poly
 from nilpath.cli import run
 from nilpath.gf2 import GF2Matrix
 from nilpath.proofcheck import ClassCensus, class_census
-from nilpath.report import Detail, ParityReport, render_json
+from nilpath.report import Detail, ParityReport, _in_full, render_json
 
 from argv_corpus import EXTRA, MALFORMED, SMALL, answer, argv_of, corpus, well_formed_calls
 from oracles import involution_rows_by_walk
@@ -57,25 +56,6 @@ def capped_child(*argv):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=cap, timeout=60,
     )
-
-
-def int_digit_limit():
-    """The interpreter's int-to-text digit limit, or None where it has none."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    return None if get_limit is None else get_limit()
-
-
-@contextmanager
-def no_int_digit_limit():
-    limit = int_digit_limit()
-    if limit is None:
-        yield
-        return
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def flag_bounds(command):
@@ -951,25 +931,25 @@ class TestWalkCount:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_count_beyond_int_digit_limit_renders_in_full(self, capsys, fmt):
         # 2^14999 walks: 4516 digits, past the 4300-digit default limit
-        limit = int_digit_limit()
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
         code, out, _ = run_cli(
             capsys,
             "walk-count", "--n", "3", "--x", "1", "--y", "1", "--k", "30000",
             "--format", fmt,
         )
         assert code == 0
-        assert int_digit_limit() == limit
+        assert get_limit() == limit
         expected = 2**14999
-        with no_int_digit_limit():
-            digits = str(expected)
-            assert len(digits) > 4300
-            if fmt == "json":
-                assert json.loads(out)["details"][0]["observed"] == expected
-            elif fmt == "csv":
-                row = list(csv.reader(io.StringIO(out)))[1]
-                assert row[1] == row[2] == digits
-            else:
-                assert out.count(digits) == 2
+        digits = _in_full(str)(expected)
+        assert len(digits) > 4300
+        if fmt == "json":
+            assert _in_full(json.loads)(out)["details"][0]["observed"] == expected
+        elif fmt == "csv":
+            row = list(csv.reader(io.StringIO(out)))[1]
+            assert row[1] == row[2] == digits
+        else:
+            assert out.count(digits) == 2
 
 
 class TestVerifyLemma:
@@ -1218,7 +1198,8 @@ class TestInvolutionTest:
         "case", ["real", *(case for case in STAND_INS if case != "involution-test-declass")]
     )
     def test_rows_match_the_walk_by_walk_oracle(self, capsys, rebind, case):
-        reflect, paths = REFLECT, [(m, k) for m in (2, 3, 4) for k in range(9)]
+        # (10, 6) has starts out of reach of the pivot, which are not searched
+        reflect, paths = REFLECT, [(m, k) for m in range(2, 7) for k in range(9)] + [(10, 6)]
         if case != "real":
             edit = STAND_INS[case]
             reflect, paths = (lambda *args: edit(REFLECT(*args))), [(3, k) for k in range(9)]
@@ -1227,6 +1208,15 @@ class TestInvolutionTest:
             expected = involution_rows_by_walk(2**m - 1, k, 2 ** (m - 1), reflect)
             _, parsed, _ = run_json(capsys, "involution-test", "--m", str(m), "--k", str(k))
             assert tuple(d["observed"] for d in parsed["details"]) == expected, (m, k)
+
+    def test_only_starts_within_reach_of_the_pivot_are_searched(self, capsys, rebind):
+        # a class-3 walk from x visits the pivot 512 twice, so |x - 512| + 2 <= k
+        real, listed = nilpath.walks._walks, {}  # the walks listed from each start
+        rebind(real, lambda n, x, k: listed.setdefault(x, list(real(n, x, k))))
+        _, parsed, _ = run_json(capsys, "involution-test", "--m", "10", "--k", "6")
+        assert parsed["details"][0]["observed"] == 220
+        assert list(listed) == list(range(508, 517))
+        assert sum(map(len, listed.values())) < 2000
 
     @pytest.mark.parametrize("argv", [("--m", "3", "--k", "14"), ("--m", "2", "--k", "24")])
     def test_slowest_inputs_fit_in_300_mb(self, argv):

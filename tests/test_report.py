@@ -2,14 +2,14 @@ import csv
 import io
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from http import HTTPStatus
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nilpath.report import Detail, ParityReport, render_csv, render_json, render_text
+from nilpath.report import Detail, ParityReport, _in_full, render_csv, render_json, render_text
+from nilpath.walks import count_walks_exact
 
 
 def sample_report(elapsed=1.5):
@@ -91,18 +91,17 @@ class TestRenderers:
         rows = list(csv.reader(io.StringIO(render_csv(sample_report()))))
         assert rows[3][1] == "none"
 
-
-@contextmanager
-def no_int_digit_limit():
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    def test_every_digit_of_a_long_count(self):
+        # 2^14999 walks: 4516 digits, past the 4300-digit default limit
+        count = count_walks_exact(3, 1, 1, 30000)
+        report = ParityReport("walk-count", {"k": 30000}, (Detail("walks", count, count, ""),))
+        digits = _in_full(str)(count)
+        assert len(digits) == 4516
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        for render in (render_text, render_json, render_csv):
+            assert render(report).count(digits) == 2, render.__name__
+            assert get_limit() == limit, render.__name__
 
 
 # any text, lone surrogates included: json escapes each of them
@@ -147,8 +146,8 @@ class TestJsonWriter:
     @example(ParityReport("demo", {}, (Detail("a", None, None, ""),), float("nan")))
     @example(ParityReport("\ud800", {"x": float("-inf")}, (), float("inf")))
     def test_bytes_equal_json_dumps(self, report):
-        with no_int_digit_limit():
-            assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+        expected = _in_full(json.dumps)(report.to_json_dict(), indent=2) + "\n"
+        assert render_json(report) == expected
 
     def test_sample_report_layout(self):
         assert render_json(sample_report()).splitlines()[:5] == [
@@ -169,7 +168,6 @@ class TestVerdict:
         agree = all(d.expected == d.observed for d in report.details)
         assert report.verdict == ("pass" if agree else "fail")
         assert report.passed == agree
-        with no_int_digit_limit():
-            # the command and parameters may hold any text, line breaks too
-            assert f"\nverdict:    {report.verdict.upper()}  (" in render_text(report)
-            assert json.loads(render_json(report))["verdict"] == report.verdict
+        # the command and parameters may hold any text, line breaks too
+        assert f"\nverdict:    {report.verdict.upper()}  (" in render_text(report)
+        assert _in_full(json.loads)(render_json(report))["verdict"] == report.verdict
