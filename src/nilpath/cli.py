@@ -32,7 +32,7 @@ from .proofcheck import (
     class_census,
     find_naive_failure,
     naive_pivot,
-    reflect_class3,
+    naive_reflect,
     theorem_check,
 )
 from .report import Detail, ParityReport, render_csv, render_json, render_text
@@ -153,8 +153,9 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
+    point = {"--m": args.m, "--k": args.k, "--x": args.x, "--y": args.y}
     if args.all:
-        if any(v is not None for v in (args.m, args.k, args.x, args.y)):
+        if any(v is not None for v in point.values()):
             raise ValueError("--all cannot be combined with --m/--k/--x/--y")
         details = []
         for m in range(1, 5):
@@ -175,14 +176,10 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, Sequence[Detail
                     )
                 )
         return {"all": True}, details
-    missing = [
-        name
-        for name, v in (("--m", args.m), ("--k", args.k), ("--x", args.x), ("--y", args.y))
-        if v is None
-    ]
+    missing = [flag for flag, v in point.items() if v is None]
     if missing:
         raise ValueError(f"needs {' '.join(missing)} (or --all)")
-    report = theorem_check(args.m, args.k, args.x, args.y)
+    report = theorem_check(*point.values())  # m, k, x, y, in theorem_check's order
     return report.parameters, report.details
 
 
@@ -281,7 +278,7 @@ def _cmd_naive_demo(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
     if witness is not None:
         pivot = naive_pivot(witness)
         try:
-            reflect_class3(n, witness, pivot)
+            naive_reflect(n, witness)
             outcome, escape = "stayed in bounds", None
         except ReflectionOutOfBounds as exc:
             outcome, escape = "out of bounds", str(exc)

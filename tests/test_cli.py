@@ -155,6 +155,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == says
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["walk-count", "--parity", "--n", "3", "--x", "1", "--y", "1"],
+         ["verify-theorem", "--m", "3", "--x", "1", "--y", "1"]],
+    )
+    @pytest.mark.parametrize("digits, exit_code", [(4300, 0), (4301, 2)])
+    def test_k_takes_at_most_4300_digits(self, capsys, argv, digits, exit_code):
+        # the interpreter's int-from-text limit, not a row of the command
+        # table, is what refuses these lengths
+        code, out, _ = run_cli(capsys, *argv, "--k", "9" * digits)
+        assert (code, out == "") == (exit_code, exit_code == 2)
+
     def test_domain_error_is_two_with_message(self, capsys):
         code, _, err = run_cli(capsys, "walk-count", "--n", "5", "--x", "9", "--y", "1", "--k", "2")
         assert code == 2
@@ -1301,7 +1313,7 @@ class TestNaiveDemo:
     def test_a_reflection_that_stays_in_bounds_fails_the_demo(
         self, capsys, monkeypatch
     ):
-        monkeypatch.setattr(cli, "reflect_class3", lambda n, walk, pivot: walk)
+        monkeypatch.setattr(cli, "naive_reflect", lambda n, walk: walk)
         code, parsed, _ = run_json(capsys, "naive-demo", "--n", "7", "--k", "7")
         rows = {d["check"]: d["observed"] for d in parsed["details"]}
         assert code == 1
@@ -1354,16 +1366,30 @@ class TestOutputFormats:
         ]
 
     @pytest.mark.parametrize(
-        "argv",
-        [[command, *SMALL[command]] for command in cli._COMMANDS]
+        "argv, verdict",
+        [([command, *SMALL[command]], "pass") for command in cli._COMMANDS]
         # calls off the paper's family, whose reports fail
-        + [["check-nilpotent", "--n", "6"], ["charpoly", "--n", "6", "--check-monomial"],
-           ["naive-demo", "--n", "3", "--k", "3"]],
+        + [(argv, "fail") for argv in (
+            ["check-nilpotent", "--n", "6"], ["charpoly", "--n", "6", "--check-monomial"],
+            ["naive-demo", "--n", "3", "--k", "3"])],
     )
-    def test_the_report_names_its_command_and_its_verdict_sets_the_exit(self, capsys, argv):
+    def test_the_report_names_its_command_and_its_verdict_sets_the_exit(
+        self, capsys, argv, verdict
+    ):
         code, parsed, err = run_json(capsys, *argv)
-        assert (parsed["command"], err) == (argv[0], "")
-        assert code == (0 if parsed["verdict"] == "pass" else 1)
+        assert (parsed["command"], parsed["verdict"], err) == (argv[0], verdict, "")
+        assert code == (0 if verdict == "pass" else 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-nilpotent", "--m", "1"],
+         ["verify-theorem", "--m", "1", "--k", "5", "--x", "1", "--y", "1"]],
+    )
+    def test_the_one_vertex_path_passes_every_row(self, capsys, argv):
+        # P_1 is the family's base case: each route still reports its four rows
+        code, parsed, err = run_json(capsys, *argv)
+        assert (code, parsed["command"], parsed["verdict"], err) == (0, argv[0], "pass", "")
+        assert len(parsed["details"]) == 4
 
     @pytest.mark.parametrize("command", sorted(SMALL))
     def test_json_bytes_equal_json_dumps_on_real_reports(self, command):
