@@ -13,7 +13,7 @@ second, independent route to the nilpotency results of :mod:`nilpath.gf2`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "GF2Poly",
@@ -22,15 +22,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GF2Poly:
-    """Polynomial over GF(2); bit i of ``bits`` is the coefficient of x^i."""
-
+class _GF2PolyFields(NamedTuple):
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+
+class GF2Poly(_GF2PolyFields):
+    """Polynomial over GF(2); bit i of ``bits`` is the coefficient of x^i.
+
+    A named tuple: the constructor refuses negative ``bits``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int) -> GF2Poly:
+        if bits < 0:
             raise ValueError("coefficient bits must be non-negative")
+        return tuple.__new__(cls, (bits,))
 
     @property
     def degree(self) -> int:

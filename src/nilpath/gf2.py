@@ -19,8 +19,7 @@ Wolfram, CMP 1984). A power step that needs both ``base * result`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "GF2Matrix",
@@ -33,32 +32,34 @@ __all__ = [
     "nilpotency_index",
 ]
 
-@dataclass(frozen=True)
-class GF2Matrix:
+class _GF2MatrixFields(NamedTuple):
+    n: int
+    rows: tuple[int, ...]
+
+
+class GF2Matrix(_GF2MatrixFields):
     """Immutable square bit matrix over Z/2Z.
 
     Attributes:
         n: Dimension, at least 1.
         rows: n integers; bit j of rows[i] is the entry at 0-based (i, j).
             Bits at positions >= n are never set.
+
+    A named tuple: the constructor checks the dimension and every row.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be at least 1, got {self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(
-                f"expected {self.n} rows, got {len(self.rows)}"
-            )
-        limit = 1 << self.n
-        for i, row in enumerate(self.rows):
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> GF2Matrix:
+        if n < 1:
+            raise ValueError(f"matrix dimension must be at least 1, got {n}")
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        limit = 1 << n
+        for i, row in enumerate(rows):
             if not 0 <= row < limit:
-                raise ValueError(
-                    f"row {i + 1} has bits outside columns 1..{self.n}"
-                )
+                raise ValueError(f"row {i + 1} has bits outside columns 1..{n}")
+        return tuple.__new__(cls, (n, rows))
 
     def bit(self, i: int, j: int) -> int:
         """Entry in row ``i``, column ``j``, both 1-based."""
@@ -138,10 +139,8 @@ def _mul_pair(a: GF2Matrix, b: GF2Matrix, c: GF2Matrix) -> tuple[GF2Matrix, GF2M
 
 
 def _product(n: int, rows: list[int]) -> GF2Matrix:
-    # XORs of in-range rows are in range: no row scan
-    product = object.__new__(GF2Matrix)
-    product.__dict__.update(n=n, rows=tuple(rows))
-    return product
+    # XORs of in-range rows are in range: skip GF2Matrix.__new__ and its row scan
+    return tuple.__new__(GF2Matrix, (n, tuple(rows)))
 
 
 def mat_pow(a: GF2Matrix, k: int) -> GF2Matrix:

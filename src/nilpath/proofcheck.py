@@ -24,7 +24,7 @@ validate it once, and the ones that build walks return tuples.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .report import Detail, ParityReport
 from .walks import (
@@ -55,8 +55,7 @@ class ReflectionOutOfBounds(Exception):
     """A reflected vertex left the range 1..n."""
 
 
-@dataclass(frozen=True)
-class ClassCensus:
+class ClassCensus(NamedTuple):
     """Exact sizes of the three classes for fixed endpoints and length.
 
     ``per_step_c2[i]`` counts the class-2 walks whose single pivot visit

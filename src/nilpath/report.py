@@ -18,15 +18,13 @@ import functools
 import io
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["Detail", "ParityReport", "render_text", "render_json", "render_csv"]
 
 
-@dataclass(frozen=True)
-class Detail:
+class Detail(NamedTuple):
     """One checked fact: a name, what was expected, what was seen, and why."""
 
     check: str
@@ -39,8 +37,7 @@ class Detail:
         return self.expected == self.observed
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     """A command's rows, serializable for machine consumers. The verdict is
     read from the rows, so no report can say "pass" over a failing one."""
 

@@ -26,7 +26,7 @@ class TestGF2Poly:
         assert GF2Poly(0b1011).degree == 3
 
     def test_rejects_negative_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^coefficient bits must be non-negative$"):
             GF2Poly(-1)
 
     def test_string_form(self):

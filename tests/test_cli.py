@@ -1468,3 +1468,20 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 1 and "FAIL" in proc.stdout
+
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        # every command pays for what importing the CLI loads; -S keeps the
+        # site hook's own imports out of the before-and-after comparison
+        src = str(Path(nilpath.__file__).resolve().parent.parent)
+        code = (
+            "import sys; before = set(sys.modules); import nilpath.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "nilpath.cli" in loaded
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded

@@ -91,20 +91,24 @@ class TestGF2Matrix:
         assert zero(4).to_lists() == [[0] * 4 for _ in range(4)]
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^matrix dimension must be at least 1, got 0$"):
             GF2Matrix(0, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^matrix dimension must be at least 1, got -3$"):
+            GF2Matrix(-3, ())
+        with pytest.raises(ValueError, match=r"^matrix dimension must be at least 1, got 0$"):
             identity(0)
 
     def test_rejects_row_count_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 3 rows, got 2$"):
             GF2Matrix(3, (0, 0))
 
     def test_rejects_wide_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row 1 has bits outside columns 1\.\.2$"):
             GF2Matrix(2, (0b100, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row 1 has bits outside columns 1\.\.2$"):
             GF2Matrix(2, (-1, 0))
+        with pytest.raises(ValueError, match=r"^row 2 has bits outside columns 1\.\.2$"):
+            GF2Matrix(2, (0, -1))
 
     def test_bit_is_one_based_row_column(self):
         m = GF2Matrix(3, (0b010, 0b001, 0b100))

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
 from http import HTTPStatus
 
 from hypothesis import example, given
@@ -32,9 +31,7 @@ class TestParityReport:
         assert not report.passed
 
     def test_fields_in_order(self):
-        assert [f.name for f in fields(ParityReport)] == [
-            "command", "parameters", "details", "elapsed_ms"
-        ]
+        assert ParityReport._fields == ("command", "parameters", "details", "elapsed_ms")
         assert ParityReport("demo", {}, ()).elapsed_ms == 0.0
 
     def test_json_dict_key_order(self):
