@@ -349,8 +349,8 @@ def _cmd_charpoly(args: argparse.Namespace) -> tuple[dict, Sequence[Detail]]:
 _LISTS = "lists {value} walks, above the limit {limit}"
 _OPEN = (None, None, {"required": False})  # an unbounded flag that may be left out
 _COMMANDS: dict[str, tuple] = {
-    # the n x n matrix and its powers as n-bit rows: --n 32767 takes 2.3 to
-    # 3.3 s and 530 MiB; --m is checked before 2^m is formed
+    # the n x n matrix and its powers as n-bit rows: --n 32767 takes 1.6 to
+    # 1.9 s and 520 MiB; --m is checked before 2^m is formed
     "check-nilpotent": (
         _cmd_check_nilpotent,
         "raise the adjacency matrix to the n-th power and inspect it",

@@ -3,15 +3,12 @@
 A matrix row is a single Python integer used as a bit vector, least
 significant bit first: bit ``j - 1`` of ``rows[i - 1]`` holds the entry in
 row ``i``, column ``j``. Public interfaces are 1-based; storage is 0-based.
-Python integers are packed into machine words by the interpreter, so XOR on
-a row is a word-wise operation over the whole row. Multiplication uses a
-row broadcast: for each set bit ``z`` in row ``i`` of the left factor, row
-``z`` of the right factor is XORed into result row ``i``.
-
-The cost of a product therefore follows the set bits of its left factor:
-each left row has its bits peeled off one at a time, highest first. Powers
-keep the sparse factor on the left: every power A^(2^j) of the path
-adjacency matrix has at most two bits per row, because
+A product is a row broadcast: result row ``i`` is the XOR of the rows of
+the right factor selected by the set bits of row ``i`` of the left. The
+row of the highest bit is taken as is and the rest are peeled highest
+first, one whole-row XOR each, so the cost follows the left factor's set
+bits. Powers keep the sparse factor on the left: every power A^(2^j) of the
+path adjacency matrix has at most two bits per row, as
 (x + x^-1)^(2^j) = x^(2^j) + x^-(2^j) over GF(2) (Martin, Odlyzko &
 Wolfram, CMP 1984). A power step that needs both ``base * result`` and
 ``base * base`` peels the rows of ``base`` once for the two (``_mul_pair``).
@@ -19,7 +16,7 @@ Wolfram, CMP 1984). A power step that needs both ``base * result`` and
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "GF2Matrix",
@@ -50,7 +47,8 @@ class GF2Matrix(_GF2MatrixFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, rows: tuple[int, ...]) -> GF2Matrix:
+    def __new__(cls, n: int, rows: Iterable[int]) -> GF2Matrix:
+        rows = tuple(rows)
         if n < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {n}")
         if len(rows) != n:
@@ -95,24 +93,27 @@ def mat_from_entries(n: int, entries: Callable[[int, int], int]) -> GF2Matrix:
             if entries(i, j):
                 row |= 1 << (j - 1)
         rows.append(row)
-    return GF2Matrix(n, tuple(rows))
+    return GF2Matrix(n, rows)
 
 
 def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Product over Z/2Z: entry (i, j) is the XOR over z of a(i,z) AND b(z,j).
 
-    Row broadcast: result row i is the XOR of the rows of ``b`` selected by
-    the set bits of row i of ``a``. Each row of ``a`` has its bits peeled
-    highest first with ``bit_length``, so the cost is one row XOR and a few
-    whole-row operations per set bit of ``a``. Put the sparser factor on
-    the left.
+    Row i of ``a`` selects rows of ``b``: the one at its highest bit is
+    taken as is, the rest are peeled highest first and XORed in. Put the
+    sparser factor on the left.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     brows = b.rows
     out = []
     for row in a.rows:
-        acc = 0
+        if not row:
+            out.append(0)
+            continue
+        top = row.bit_length() - 1
+        acc = brows[top]
+        row ^= 1 << top
         while row:
             top = row.bit_length() - 1
             acc ^= brows[top]
@@ -123,11 +124,18 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
 def _mul_pair(a: GF2Matrix, b: GF2Matrix, c: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
     """``(mat_mul(a, b), mat_mul(a, c))``, peeling each row of ``a`` once
-    for both products. The three matrices must share one dimension."""
+    for both; the first rows it selects are taken as is. All three share
+    one dimension."""
     brows, crows = b.rows, c.rows
     out_b, out_c = [], []
     for row in a.rows:
-        acc_b = acc_c = 0
+        if not row:
+            out_b.append(0)
+            out_c.append(0)
+            continue
+        top = row.bit_length() - 1
+        acc_b, acc_c = brows[top], crows[top]
+        row ^= 1 << top
         while row:
             top = row.bit_length() - 1
             acc_b ^= brows[top]

@@ -64,15 +64,9 @@ def _check_args(n: int, k: int = 0, **vertices: int) -> None:
 def path_adjacency(n: int) -> GF2Matrix:
     """Adjacency matrix of the n-vertex path: bit (i, j) = 1 iff |i - j| = 1."""
     _check_args(n)
-    rows = []
-    for i in range(n):
-        row = 0
-        if i > 0:
-            row |= 1 << (i - 1)
-        if i + 1 < n:
-            row |= 1 << (i + 1)
-        rows.append(row)
-    return GF2Matrix(n, tuple(rows))
+    rows = [5 << i >> 1 for i in range(n)]  # bits i - 1 and i + 1
+    rows[-1] ^= 1 << n
+    return GF2Matrix(n, rows)
 
 
 def walk_is_valid(n: int, vs: Sequence[int]) -> bool:

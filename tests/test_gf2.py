@@ -66,6 +66,22 @@ wide_matrices = st.composite(lambda draw: mixed_matrix(draw, max_n=64))()
 large_matrices = st.composite(lambda draw: mixed_matrix(draw, max_n=300))()
 
 
+def first_row_factors(n: int) -> list[GF2Matrix]:
+    """Left factors for the first selected row of each product row: all
+    rows zero, one bit at column 1, one bit at column n, two bits, random,
+    or all set, and each kind mixed into one matrix whose first, middle and
+    last rows are zero."""
+    rng = random.Random(n)
+    kinds = [1, 1 << n - 1, 1 | 1 << n - 1, rng.getrandbits(n), (1 << n) - 1]
+    mixed = [kinds[i % len(kinds)] for i in range(n)]
+    for i in (0, n // 2, n - 1):
+        mixed[i] = 0
+    return [zero(n), *(GF2Matrix(n, (kind,) * n) for kind in kinds), GF2Matrix(n, tuple(mixed))]
+
+
+FIRST_ROW_SIZES = (1, 2, 30, 31, 32, 61, 64)
+
+
 def bitwise_broadcast(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Row i of ab is the XOR of the rows z of b with a(i, z) = 1, found by
     testing every z in turn. Fast enough for n in the hundreds, where
@@ -140,9 +156,12 @@ class TestMatFromEntries:
         assert m.to_lists() == [[0, 1], [1, 0]]
 
     def test_matches_path_adjacency(self):
-        for n in range(1, 13):
+        # across the 30-bit digits of a Python int, where the last row of the
+        # path matrix has bit n cleared
+        for n in (*range(1, 71), 127, 128, 129):
             built = mat_from_entries(n, lambda i, j: 1 if abs(i - j) == 1 else 0)
             assert built == path_adjacency(n)
+        assert path_adjacency(1).rows == (0,)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -232,8 +251,25 @@ class TestMatMul:
             with pytest.raises(ValueError):
                 GF2Matrix(p.n, p.rows[:-1] + (p.rows[-1] ^ bad,))
 
+    @pytest.mark.parametrize("n", FIRST_ROW_SIZES)
+    def test_first_row_cases_match_naive_multiplier(self, n):
+        rng = random.Random(-n)
+        b = GF2Matrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        for a in first_row_factors(n):
+            assert mat_mul(a, b) == naive_mat_mul(a, b)
+            assert mat_mul(a, a) == naive_mat_mul(a, a)
+
 
 class TestMulPair:
+    @pytest.mark.parametrize("n", FIRST_ROW_SIZES)
+    def test_first_row_cases_are_both_products(self, n):
+        rng = random.Random(-n)
+        b = GF2Matrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        c = GF2Matrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        for a in first_row_factors(n):
+            assert _mul_pair(a, b, c) == (mat_mul(a, b), mat_mul(a, c))
+            assert _mul_pair(a, b, a) == (mat_mul(a, b), mat_mul(a, a))
+
     @given(wide_matrices, shares, seeds, shares, seeds)
     @settings(max_examples=50)
     def test_is_both_products_of_its_left_factor(self, a, share_b, seed_b, share_c, seed_c):

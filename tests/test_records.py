@@ -95,6 +95,18 @@ def test_keywords_build_the_same_records():
     ) == BUILDERS["ParityReport"]()
 
 
+def test_a_matrix_keeps_its_rows_as_a_tuple():
+    from_list, from_tuple = GF2Matrix(2, [2, 1]), GF2Matrix(2, (2, 1))
+    assert type(from_list.rows) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple) == "GF2Matrix(n=2, rows=(2, 1))"
+    # the list given is copied, so changing it later changes no matrix
+    rows = [2, 1]
+    kept = GF2Matrix(2, rows)
+    rows.append(7)
+    assert kept.rows == (2, 1)
+
+
 @st.composite
 def in_range_rows(draw):
     n = draw(st.integers(1, 70))
